@@ -17,6 +17,7 @@ from .graphs import (
     degree_power_sum,
     degree_profile,
     demo_graph,
+    edge_triangles,
     generate_family,
     is_connected,
     parse_edge_list,

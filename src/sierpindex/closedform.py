@@ -10,8 +10,10 @@ of a degree, so ``t`` can be large without overflow in exact mode.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import NamedTuple, Union
 
 from .construct import EdgeClassCounts, VertexClassCounts
@@ -20,6 +22,7 @@ from .graphs import (
     IndexParams,
     as_params,
     degree_power_sum,
+    edge_triangles,
     is_connected,
     randic_index,
     triangle_count,
@@ -43,7 +46,8 @@ def repunit(n: int, t: int) -> int:
 
 def _int_ratio(num: int, den: int) -> int:
     f = Fraction(num, den)
-    assert f.denominator == 1, "prefactor expected to be integral"
+    if f.denominator != 1:
+        raise ArithmeticError(f"prefactor {f} expected to be integral")
     return int(f)
 
 
@@ -59,7 +63,8 @@ def _counters(n: int, dx: int, dy: int, tau: int, lead: int, rep: int) -> tuple[
     c01 = lead * (dy - tau) - rep * dx
     c10 = lead * (dx - tau) - rep * dy
     c11 = lead * (tau + 1) + rep * (dx + dy + 1)
-    assert min(c00, c01, c10, c11) >= 0, "negative degree-class counter"
+    if min(c00, c01, c10, c11) < 0:
+        raise ArithmeticError(f"negative degree-class counter for (dx, dy, tau) = {(dx, dy, tau)}")
     return c00, c01, c10, c11
 
 
@@ -226,15 +231,45 @@ def _power(d: int, p: IndexParams) -> Number:
     return d ** p.int_alpha if p.exact else d ** p.alpha
 
 
-def _edge_weight(x: int, y: int, dx: int, dy: int, counters, shift: int, p: IndexParams) -> EdgeWeight:
-    """Weight of one base edge: four degree classes at ``base degree + shift``."""
-    terms = []
-    for (i, j), count in zip(((0, 0), (0, 1), (1, 0), (1, 1)), counters):
-        a, b = dx + shift + i, dy + shift + j
-        value = count * (_power(a, p) * _power(b, p))
-        terms.append(EdgeTerm(count, (a, b), value))
-    weight = sum(t.value for t in terms) if p.exact else math.fsum(t.value for t in terms)
-    return EdgeWeight(x, y, tuple(terms), weight)
+def _edge_classes(base: Graph) -> tuple[list[tuple[int, int, int]], Counter]:
+    """The class ``(dx, dy, tau)`` of every canonical edge and the size of each
+    class. Degrees and triangles are all the closed forms see of an edge, so
+    the edges of one class contribute identical terms."""
+    deg, e = base.degrees(), base.edges
+    keys = list(zip(deg[e[:, 0]].tolist(), deg[e[:, 1]].tolist(), edge_triangles(base).tolist()))
+    return keys, Counter(keys)
+
+
+def _class_sum(pairs, p: IndexParams) -> Number:
+    """Sum over ``(class weight, class size)`` pairs. Float mode gives ``fsum``
+    each weight once per member: the same values as a member-by-member sum,
+    so the same correctly rounded bits."""
+    if p.exact:
+        return sum(k * w for w, k in pairs)
+    return math.fsum(chain.from_iterable(repeat(w, k) for w, k in pairs))
+
+
+def _edge_group(base: Graph, keys, classes: Counter, lead: int, rep: int, shift: int, p: IndexParams,
+                include_breakdown: bool) -> tuple[Number, tuple[EdgeWeight, ...] | None]:
+    """Total weight of one copy group of the base edges, each weighed by the
+    four degree classes at ``base degree + shift``; per-edge weights in
+    canonical order only when a breakdown is asked for."""
+    terms, weights = {}, {}
+    for key in classes:
+        dx, dy, tau = key
+        a, b = dx + shift, dy + shift
+        pa, pb = (_power(a, p), _power(a + 1, p)), (_power(b, p), _power(b + 1, p))
+        counters = _counters(base.n, dx, dy, tau, lead, rep)
+        terms[key] = [(c, (a + i, b + j), c * (pa[i] * pb[j]))
+                      for (i, j), c in zip(((0, 0), (0, 1), (1, 0), (1, 1)), counters)]
+        values = [v for _, _, v in terms[key]]
+        weights[key] = sum(values) if p.exact else math.fsum(values)
+    total = _class_sum(((weights[key], k) for key, k in classes.items()), p)
+    if not include_breakdown:
+        return total, None
+    edge_terms = {key: tuple(EdgeTerm(*term) for term in ts) for key, ts in terms.items()}
+    edges = zip(base.iter_edges(), keys)
+    return total, tuple(EdgeWeight(x, y, edge_terms[key], weights[key]) for (x, y), key in edges)
 
 
 def sierpinski_randic(
@@ -246,7 +281,8 @@ def sierpinski_randic(
     """Degree-product index of the level-``t`` expansion, in closed form.
 
     ``t = 1`` is the base graph itself and reduces to the direct edge sum;
-    for ``t >= 2`` each base edge contributes its four degree-class terms.
+    for ``t >= 2`` each base edge contributes the four degree-class terms of
+    its class ``(dx, dy, tau)``, computed once per class.
     """
     p = as_params(params)
     if t < 1:
@@ -255,15 +291,10 @@ def sierpinski_randic(
         return _finish("S", t, p, randic_index(base, p), None)
 
     n = base.n
+    keys, classes = _edge_classes(base)
     lead, rep = n ** (t - 2), repunit(n, t - 2)
-    deg = base.degrees().tolist()
-    weights = []
-    for x, y in base.iter_edges():
-        tau = triangles_on_edge(base, x, y)
-        counters = _counters(n, deg[x], deg[y], tau, lead, rep)
-        weights.append(_edge_weight(x, y, deg[x], deg[y], counters, 0, p))
-    total = sum(w.weight for w in weights) if p.exact else math.fsum(w.weight for w in weights)
-    breakdown = SierpinskiBreakdown(tuple(weights)) if include_breakdown else None
+    total, weights = _edge_group(base, keys, classes, lead, rep, 0, p, include_breakdown)
+    breakdown = SierpinskiBreakdown(weights) if include_breakdown else None
     return _finish("S", t, p, total, breakdown)
 
 
@@ -305,7 +336,6 @@ def polymeric_randic(
         return _finish("P", t, p, polymeric_level1_randic(base, p), None)
 
     n = base.n
-    deg = base.degrees().tolist()
     psi1 = repunit(n, t - 1)
     psi2 = repunit(n, t - 2)
     lead = n ** (t - 2)
@@ -316,44 +346,30 @@ def polymeric_randic(
     s_mid_copy = _int_ratio(t - 2 - psi2, 1 - n)
     s_links = _int_ratio(t - 1 - psi1, 1 - n)
 
-    verts = range(1, n + 1)
     hub_deg_pow = _power(n + 1, p)
-    plus1 = {x: _power(deg[x] + 1, p) for x in verts}
-    plus2 = {x: _power(deg[x] + 2, p) for x in verts}
-    plus3 = {x: _power(deg[x] + 3, p) for x in verts}
+    degree_classes = Counter(base.degrees()[1:].tolist())
 
-    def vsum(values) -> Number:
-        return sum(values) if p.exact else math.fsum(values)
+    def vsum(f) -> Number:
+        return _class_sum(((f(d), k) for d, k in degree_classes.items()), p)
 
-    sum_p2 = vsum(plus2[x] for x in verts)
-    sum_d_p2 = vsum(deg[x] * plus2[x] for x in verts)
-    sum_d_p3 = vsum(deg[x] * plus3[x] for x in verts)
+    sum_p2 = vsum(lambda d: _power(d + 2, p))
+    sum_d_p2 = vsum(lambda d: d * _power(d + 2, p))
+    sum_d_p3 = vsum(lambda d: d * _power(d + 3, p))
 
     hub_root = _power(n, p) * sum_p2
-    first_copy = vsum(plus2[x] * plus2[y] for x, y in base.iter_edges())
+    keys, classes = _edge_classes(base)
+    first_copy = _class_sum(
+        ((_power(dx + 2, p) * _power(dy + 2, p), k) for (dx, dy, _), k in classes.items()), p
+    )
     hub_mid = hub_deg_pow * ((n * psi2) * sum_p2 + s_mid_hub * (sum_d_p3 - sum_d_p2))
     level_links = hub_deg_pow * (psi1 * sum_p2 + s_links * (sum_d_p3 - sum_d_p2))
-    hub_top = hub_deg_pow * (
-        vsum(plus1[x] * (n ** (t - 1) - deg[x] * psi1) for x in verts) + psi1 * sum_d_p2
-    )
+    hub_top = hub_deg_pow * (vsum(lambda d: _power(d + 1, p) * (n ** (t - 1) - d * psi1)) + psi1 * sum_d_p2)
 
-    mid_edges = []
-    top_edges = []
-    for x, y in base.iter_edges():
-        tau = triangles_on_edge(base, x, y)
-        mid_edges.append(
-            _edge_weight(x, y, deg[x], deg[y], _counters(n, deg[x], deg[y], tau, psi2, s_mid_copy), 2, p)
-        )
-        top_edges.append(
-            _edge_weight(x, y, deg[x], deg[y], _counters(n, deg[x], deg[y], tau, lead, psi2), 1, p)
-        )
-    copies_mid = vsum(w.weight for w in mid_edges)
-    copies_top = vsum(w.weight for w in top_edges)
+    copies_mid, mid_edges = _edge_group(base, keys, classes, psi2, s_mid_copy, 2, p, include_breakdown)
+    copies_top, top_edges = _edge_group(base, keys, classes, lead, psi2, 1, p, include_breakdown)
 
     parts = PolymericParts(hub_root, first_copy, hub_mid, copies_mid, level_links, hub_top, copies_top)
-    breakdown = (
-        PolymericBreakdown(parts, tuple(mid_edges), tuple(top_edges)) if include_breakdown else None
-    )
+    breakdown = PolymericBreakdown(parts, mid_edges, top_edges) if include_breakdown else None
     return _finish("P", t, p, parts.total, breakdown)
 
 
@@ -402,27 +418,3 @@ def sierpinski_randic_bounds(base: Graph, t: int, alpha: float) -> tuple[float, 
 
     return envelope(dmin, dmax, e_lo), envelope(dmax, dmin, e_hi)
 
-
-def _bounds_envelope_variant(base: Graph, t: int, alpha: float) -> tuple[float, float]:
-    """A circulating variant of the envelope formulas; kept for the formula
-    audit in the test suite. Fails the collapse-to-equality property on
-    regular bases (e.g. the 4-cycle at t=2), so it is not used."""
-    n = base.n
-    lead, rep = n ** (t - 2), repunit(n, t - 2)
-    degs = base.degrees().tolist()[1:]
-    dmin, dmax = min(degs), max(degs)
-    r_base = randic_index(base, alpha)
-    m_next = degree_power_sum(base, alpha + 1)
-    m1 = 2 * base.m
-
-    def printed(d_in: int, d_out: int, e: float) -> float:
-        return (
-            lead * (n - d_out) * r_base
-            + 2 * (lead * d_in - d_out * rep) * (r_base + m_next * e)
-            + (lead + (2 * d_in + 1) * rep) * (r_base + 2 * m_next * e)
-            + (lead + (2 * d_in + 1) * rep) * (m1 / 2) * e * e
-        )
-
-    e_low = (dmin + 1) ** alpha - dmax ** alpha
-    e_high = (dmax + 1) ** alpha - dmin ** alpha
-    return printed(dmin, dmax, e_low), printed(dmax, dmin, e_high)

@@ -10,9 +10,8 @@ variants that fail that audit, together with the diverging term.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .closedform import PolymericParts, repunit
+from .closedform import PolymericParts, _int_ratio, repunit
 
 #: Formula variants seen in print that do not survive the construction-oracle
 #: audit. Keys name the corrected public function; values identify the exact
@@ -34,12 +33,6 @@ DISPUTED_PRINTS: dict[str, dict[str, str]] = {
 }
 
 
-def _frac(num: int, den: int) -> int:
-    f = Fraction(num, den)
-    assert f.denominator == 1
-    return int(f)
-
-
 # -- plain expansion families --------------------------------------------------
 
 def sierpinski_regular(n: int, degree: int, triangles: int, t: int, alpha: float) -> float:
@@ -50,26 +43,9 @@ def sierpinski_regular(n: int, degree: int, triangles: int, t: int, alpha: float
     d = degree
     psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
     lead = n ** (t - 2)
-    same = _frac(n ** (t - 1) * d * (n - 2 * d), 2) + 3 * lead * triangles
+    same = _int_ratio(n ** (t - 1) * d * (n - 2 * d), 2) + 3 * lead * triangles
     mixed = (n ** (t - 1) - n * psi2) * d * d - 6 * lead * triangles
-    bumped = _frac(n * d * psi1, 2) + n * d * d * psi2 + 3 * lead * triangles
-    return math.fsum(
-        (
-            same * d ** (2 * alpha),
-            mixed * d ** alpha * (d + 1) ** alpha,
-            bumped * (d + 1) ** (2 * alpha),
-        )
-    )
-
-
-def _sierpinski_regular_printed(n: int, degree: int, triangles: int, t: int, alpha: float) -> float:
-    """The disputed print of :func:`sierpinski_regular`; audit use only."""
-    d = degree
-    psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
-    lead = n ** (t - 2)
-    same = n ** (t - 1) * d * (n - 2 * d) / 2 + 3 * lead * triangles
-    mixed = (n ** (t - 1) + psi1) * d * d - 6 * lead * triangles
-    bumped = n * d * psi1 / 2 + n * d * d * psi2 + 3 * lead * triangles
+    bumped = _int_ratio(n * d * psi1, 2) + n * d * d * psi2 + 3 * lead * triangles
     return math.fsum(
         (
             same * d ** (2 * alpha),
@@ -197,27 +173,27 @@ def polymeric_regular(n: int, degree: int, triangles: int, t: int, alpha: float)
     hubp = (n + 1) ** alpha
     p1, p2, p3 = (d + 1) ** alpha, (d + 2) ** alpha, (d + 3) ** alpha
     # telescoped level sums, exactly integral
-    mid_hub = _frac(t - 2 - n * psi2, 1 - n)     # sum_{i=2..t-1} repunit(i-1)
-    mid_copy = _frac(t - 2 - psi2, 1 - n)        # sum_{i=2..t-1} repunit(i-2)
-    links = _frac(t - 1 - psi1, 1 - n)           # sum_{i=1..t-1} repunit(i-1)
+    mid_hub = _int_ratio(t - 2 - n * psi2, 1 - n)     # sum_{i=2..t-1} repunit(i-1)
+    mid_copy = _int_ratio(t - 2 - psi2, 1 - n)        # sum_{i=2..t-1} repunit(i-2)
+    links = _int_ratio(t - 1 - psi1, 1 - n)           # sum_{i=1..t-1} repunit(i-1)
 
     hub_root = n ** (alpha + 1) * p2
-    first_copy = _frac(n * d, 2) * p2 * p2
+    first_copy = _int_ratio(n * d, 2) * p2 * p2
     hub_mid = hubp * (n * n * psi2 * p2 + n * d * mid_hub * (p3 - p2))
     copies_mid = math.fsum(
         (
-            p2 * p2 * psi2 * (_frac(n * d * (n - 2 * d), 2) + 3 * tau),
+            p2 * p2 * psi2 * (_int_ratio(n * d * (n - 2 * d), 2) + 3 * tau),
             p2 * p3 * ((n * d * d - 6 * tau) * psi2 - n * d * d * mid_copy),
-            p3 * p3 * ((3 * tau + _frac(n * d, 2)) * psi2 + _frac(n * d * (2 * d + 1), 2) * mid_copy),
+            p3 * p3 * ((3 * tau + _int_ratio(n * d, 2)) * psi2 + _int_ratio(n * d * (2 * d + 1), 2) * mid_copy),
         )
     )
     level_links = hubp * (n * psi1 * p2 + n * d * links * (p3 - p2))
     hub_top = hubp * (p1 * (n ** t - n * d * psi1) + n * d * psi1 * p2)
     copies_top = math.fsum(
         (
-            p1 * p1 * lead * (_frac(n * d * (n - 2 * d), 2) + 3 * tau),
+            p1 * p1 * lead * (_int_ratio(n * d * (n - 2 * d), 2) + 3 * tau),
             p1 * p2 * (d * d * (n ** (t - 1) - n * psi2) - 6 * lead * tau),
-            p2 * p2 * (_frac(n * d * psi1, 2) + n * d * d * psi2 + 3 * lead * tau),
+            p2 * p2 * (_int_ratio(n * d * psi1, 2) + n * d * d * psi2 + 3 * lead * tau),
         )
     )
     return PolymericParts(hub_root, first_copy, hub_mid, copies_mid, level_links, hub_top, copies_top)
@@ -235,13 +211,13 @@ def polymeric_complete(n: int, t: int, alpha: float) -> PolymericParts:
     r1 = (n + 2) ** alpha
     return PolymericParts(
         n ** (alpha + 1) * q1,
-        _frac(n * (n - 1), 2) * q2,
+        _int_ratio(n * (n - 1), 2) * q2,
         n * (t - 2) * q2 + n * q1 * r1 * (2 + n * psi2 - t),
         (t - 2) * n * (n - 1) * q1 * r1
-        + (n + 2) ** (2 * alpha) * _frac(n ** 3 * psi2 + (t - 2) * (n - 2 * n * n), 2),
+        + (n + 2) ** (2 * alpha) * _int_ratio(n ** 3 * psi2 + (t - 2) * (n - 2 * n * n), 2),
         (t - 1) * n * q2 + n * q1 * r1 * (psi1 - (t - 1)),
         n ** (alpha + 1) * q1 + (n ** t - n) * q2,
-        (n - 1) * n ** (alpha + 1) * q1 + _frac(n ** (t + 1) - 2 * n * n + n, 2) * q2,
+        (n - 1) * n ** (alpha + 1) * q1 + _int_ratio(n ** (t + 1) - 2 * n * n + n, 2) * q2,
     )
 
 

@@ -12,10 +12,10 @@ import pytest
 
 import sierpindex as sx
 from sierpindex import cli
-from sierpindex.closedform import _bounds_envelope_variant
-from sierpindex.specialized import DISPUTED_PRINTS, _sierpinski_regular_printed
+from sierpindex.specialized import DISPUTED_PRINTS
 
 from conftest import ALPHAS, TRIANGLE_FREE, build_corpus
+from disputed_prints import bounds_envelope_printed, sierpinski_regular_printed
 
 TOL = 1e-9
 
@@ -145,11 +145,11 @@ def test_criterion_4_specialization_consistency():
     # the typo detector must not be silent: every disputed print is documented
     # with its diverging term AND demonstrably diverges from the oracle-backed form
     assert DISPUTED_PRINTS["sierpinski_regular"]["term"]
-    printed = _sierpinski_regular_printed(3, 2, 1, 2, -0.5)
+    printed = sierpinski_regular_printed(3, 2, 1, 2, -0.5)
     true_value = sx.sierpinski_randic(corpus["K3"], 2, -0.5).value
     assert not _close(printed, true_value)
     assert DISPUTED_PRINTS["sierpinski_randic_bounds"]["term"]
-    lo_p, hi_p = _bounds_envelope_variant(corpus["C4"], 2, 1.0)
+    lo_p, hi_p = bounds_envelope_printed(corpus["C4"], 2, 1.0)
     assert not _close(lo_p, sx.sierpinski_randic(corpus["C4"], 2, 1.0).value)
     _passed(4, f"specialization consistency, {checked} comparisons + "
                f"{len(DISPUTED_PRINTS)} documented print discrepancies")

@@ -1,10 +1,10 @@
 import pytest
 
 import sierpindex as sx
-from sierpindex.closedform import _bounds_envelope_variant
 from sierpindex.specialized import DISPUTED_PRINTS
 
 from conftest import TRIANGLE_FREE, rel_close
+from disputed_prints import bounds_envelope_printed
 
 BOUND_ALPHAS = [-0.5, 0.5, 1.0]
 
@@ -67,7 +67,7 @@ def test_disputed_envelope_print_fails_regular_collapse():
     # at t=2, alpha=1 while the true value is 132
     c4 = sx.cycle_graph(4)
     value = sx.sierpinski_randic(c4, 2, 1.0).value
-    lo_p, hi_p = _bounds_envelope_variant(c4, 2, 1.0)
+    lo_p, hi_p = bounds_envelope_printed(c4, 2, 1.0)
     assert value == pytest.approx(132.0)
     assert lo_p == pytest.approx(212.0) and hi_p == pytest.approx(212.0)
     assert not rel_close(lo_p, value)

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sierpindex as sx
 from sierpindex.closedform import PolymericParts
 
+import per_edge_reference as reference
 from conftest import ALPHAS, CORPUS_NAMES, rel_close
 
 
@@ -119,6 +125,66 @@ def test_breakdown_terms_sum_to_value():
     for w in weights:
         assert rel_close(math.fsum(term.value for term in w.terms), w.weight)
         assert all(term.count >= 0 for term in w.terms)
+
+
+def _random_connected_base(seed: int, n: int, m: int) -> sx.Graph:
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(1, v)), v) for v in range(2, n + 1)}
+    while len(edges) < m:
+        u, v = sorted(int(x) for x in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        edges.add((u, v))
+    return sx.Graph(n, sorted(edges))
+
+
+@pytest.mark.parametrize(
+    "base",
+    [sx.demo_graph(), sx.complete_graph(5), _random_connected_base(7, 30, 90)],
+    ids=["demo7", "K5", "random30"],
+)
+def test_breakdown_matches_per_edge_reference(base):
+    for t in (2, 3, 9):
+        for params in (-0.5, 2.0, sx.IndexParams(1, exact=True)):
+            for closed, ref in ((sx.sierpinski_randic, reference.sierpinski_randic),
+                                (sx.polymeric_randic, reference.polymeric_randic)):
+                got = closed(base, t, params, include_breakdown=True)
+                want = ref(base, t, params, include_breakdown=True)
+                if got.variant == "S":
+                    assert got.breakdown.edge_weights == want.breakdown.edge_weights
+                else:
+                    assert got.breakdown.parts == want.breakdown.parts
+                    assert got.breakdown.copies_mid_edges == want.breakdown.copies_mid_edges
+                    assert got.breakdown.copies_top_edges == want.breakdown.copies_top_edges
+                got_json = json.dumps(got.to_json_dict(), indent=2)
+                assert got_json == json.dumps(want.to_json_dict(), indent=2), (got.variant, t, params)
+
+
+def test_compile_guards_survive_optimized_mode():
+    # the counter sign, prefactor integrality and triangle divisibility checks
+    # must still raise when python -O strips asserts
+    script = """
+import sys
+import numpy as np
+import sierpindex as sx
+from sierpindex import graphs
+from sierpindex.closedform import _counters, _int_ratio
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+graphs.edge_triangles = lambda g: np.array([1])
+guarded = (lambda: _counters(3, 1, 1, 2, 1, 0), lambda: _int_ratio(1, 2),
+           lambda: sx.triangle_count(sx.complete_graph(2)))
+for call in guarded:
+    try:
+        call()
+    except ArithmeticError:
+        continue
+    sys.exit("guard did not fire")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_exact_mode_agrees_with_float_within_double_range():

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import sierpindex as sx
 
+import per_edge_reference as reference
+
 
 @st.composite
 def small_graphs(draw, max_n=9):
@@ -48,6 +50,11 @@ def test_triangle_edge_sum_divisibility(g):
         if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
     )
     assert sx.triangle_count(g) == brute
+    common = [
+        sum(1 for w in range(1, g.n + 1) if g.has_edge(u, w) and g.has_edge(v, w))
+        for u, v in g.iter_edges()
+    ]
+    assert sx.edge_triangles(g).tolist() == common
 
 
 @given(small_graphs(), st.randoms(use_true_random=False))
@@ -106,3 +113,25 @@ def test_polymeric_closed_form_matches_construction(g, t, alpha):
     closed = sx.polymeric_randic(g, t, alpha).value
     oracle = sx.randic_index(built, alpha)
     assert abs(closed - oracle) <= max(1e-9 * abs(oracle), 1e-12)
+
+
+# The class-grouped compile against the edge-by-edge loop it replaced: floats
+# must be the same bits and exact values the same integers, not merely close.
+DIFFERENTIAL_LEVELS = (2, 3, 7, 40)
+DIFFERENTIAL_PARAMS = (-1.0, -0.5, 0.5, 2.0, sx.IndexParams(1, exact=True), sx.IndexParams(2, exact=True))
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_sierpinski_matches_per_edge_reference(g):
+    for t in DIFFERENTIAL_LEVELS:
+        for params in DIFFERENTIAL_PARAMS:
+            assert sx.sierpinski_randic(g, t, params) == reference.sierpinski_randic(g, t, params), (t, params)
+
+
+@given(connected_graphs())
+@settings(max_examples=60, deadline=None)
+def test_polymeric_matches_per_edge_reference(g):
+    for t in DIFFERENTIAL_LEVELS:
+        for params in DIFFERENTIAL_PARAMS:
+            assert sx.polymeric_randic(g, t, params) == reference.polymeric_randic(g, t, params), (t, params)

@@ -5,9 +5,10 @@ diverge (that is what justifies the corrected forms)."""
 import pytest
 
 import sierpindex as sx
-from sierpindex.specialized import DISPUTED_PRINTS, _sierpinski_regular_printed
+from sierpindex.specialized import DISPUTED_PRINTS
 
 from conftest import ALPHAS, rel_close
+from disputed_prints import sierpinski_regular_printed
 
 # (n, degree, triangles, builder) for the regular bases under test
 REGULAR = {
@@ -46,7 +47,7 @@ def test_regular_disputed_print_diverges():
     # the recorded witness: mixed-copy coefficient 10 instead of 6
     n, d, tau, build = REGULAR["K3"]
     want = sx.sierpinski_randic(build(), 2, 1.0).value
-    printed = _sierpinski_regular_printed(n, d, tau, 2, 1.0)
+    printed = sierpinski_regular_printed(n, d, tau, 2, 1.0)
     assert not rel_close(printed, want)
     assert printed - want == pytest.approx((10 - 6) * 6.0)  # 4 extra mixed copies at product 6
     assert "sierpinski_regular" in DISPUTED_PRINTS
