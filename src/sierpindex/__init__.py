@@ -40,6 +40,7 @@ from .construct import (
     polymeric_graph,
     polymeric_layout,
     polymeric_vertex_labels,
+    repunit,
     sierpinski_graph,
     vertex_labels,
     word_to_id,
@@ -50,9 +51,7 @@ from .closedform import (
     PolymericParts,
     SierpinskiBreakdown,
     edge_class_counts,
-    polymeric_level1_randic,
     polymeric_randic,
-    repunit,
     sierpinski_randic,
     sierpinski_randic_bounds,
     vertex_class_counts,

@@ -7,6 +7,8 @@ Subcommands: ``gen`` (named families), ``expand`` (explicit construction),
 
 The vertex budget comes from ``--budget`` when given, else from the
 ``SIERPINDEX_VERTEX_BUDGET`` environment variable, else the built-in default.
+Exit codes: 0 ok, 1 verify mismatch, 2 bad input, 3 vertex budget exceeded,
+4 result out of double range.
 """
 
 from __future__ import annotations
@@ -16,11 +18,32 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import closedform, construct, graphs
 from .graphs import GraphError
 
 _ENV_BUDGET = "SIERPINDEX_VERTEX_BUDGET"
+
+
+class _Variant(NamedTuple):
+    closed: Callable  # (base, t, params, include_breakdown) -> IndexReport
+    build: Callable  # (base, t, budget) -> Graph
+    labels: Callable  # (base, t) -> one label per vertex id
+    size: Callable  # (base, t) -> (vertices, edges) of the expansion
+
+
+def _polymeric_size(base: graphs.Graph, t: int) -> tuple[int, int]:
+    layout = construct.polymeric_layout(base.n, t)
+    return layout.total_vertices, layout.total_edges(base.m)
+
+
+_VARIANTS = {
+    "S": _Variant(closedform.sierpinski_randic, construct.sierpinski_graph, construct.vertex_labels,
+                  lambda base, t: (base.n ** t, base.m * construct.repunit(base.n, t))),
+    "P": _Variant(closedform.polymeric_randic, construct.polymeric_graph,
+                  construct.polymeric_vertex_labels, _polymeric_size),
+}
 
 
 def _load_graph(path: str) -> graphs.Graph:
@@ -55,7 +78,10 @@ def _parse_t_range(text: str) -> list[int]:
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # with finite alpha, only an overflowed float is non-finite
+        raise OverflowError(str(exc)) from None
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -68,13 +94,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_expand(args) -> int:
     base = _load_graph(args.graph)
-    budget = _budget(args)
-    if args.variant == "S":
-        g = construct.sierpinski_graph(base, args.t, budget)
-        labels = construct.vertex_labels(base, args.t) if args.labels else None
-    else:
-        g = construct.polymeric_graph(base, args.t, budget)
-        labels = construct.polymeric_vertex_labels(base, args.t) if args.labels else None
+    variant = _VARIANTS[args.variant]
+    g = variant.build(base, args.t, _budget(args))
+    labels = variant.labels(base, args.t) if args.labels else None
     _write_out(graphs.render_edge_list(g), args.out)
     if labels is not None:
         with open(args.labels, "w", encoding="utf-8") as fh:
@@ -82,16 +104,10 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _closed_report(base, variant, t, params, breakdown):
-    if variant == "S":
-        return closedform.sierpinski_randic(base, t, params, include_breakdown=breakdown)
-    return closedform.polymeric_randic(base, t, params, include_breakdown=breakdown)
-
-
 def _cmd_closed(args) -> int:
     base = _load_graph(args.graph)
     params = graphs.IndexParams(args.alpha, exact=args.exact)
-    report = _closed_report(base, args.variant, args.t, params, args.breakdown)
+    report = _VARIANTS[args.variant].closed(base, args.t, params, include_breakdown=args.breakdown)
     _write_out(_json_text(report.to_json_dict()), args.out)
     return 0
 
@@ -104,19 +120,16 @@ def _cmd_direct(args) -> int:
     else:
         params = graphs.IndexParams(args.alpha, exact=args.exact)
         value = graphs.randic_index(g, params)
-        doc = {"index": "randic", "alpha": args.alpha}
+        doc = {"index": "randic", "alpha": args.alpha, "value": closedform._float_or_none(value)}
         if args.exact:
-            doc["value"] = float(value)
             doc["exact"] = str(value)
-        else:
-            doc["value"] = value
     _write_out(_json_text(doc), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     budget = _budget(args)
-    variants = sorted(set(args.variant or ["S", "P"]))
+    variants = sorted(set(args.variant or _VARIANTS))
     alphas = sorted(set(args.alpha or [-1.0, -0.5, 0.5, 1.0, 2.0]))
     ts = _parse_t_range(args.t)
     tol = args.tol
@@ -126,13 +139,9 @@ def _cmd_verify(args) -> int:
         base = _load_graph(path)
         for variant in variants:
             for t in ts:
-                built = (
-                    construct.sierpinski_graph(base, t, budget)
-                    if variant == "S"
-                    else construct.polymeric_graph(base, t, budget)
-                )
+                built = _VARIANTS[variant].build(base, t, budget)
                 for alpha in alphas:
-                    closed = _closed_report(base, variant, t, alpha, False).value
+                    closed = _VARIANTS[variant].closed(base, t, alpha).value
                     oracle = graphs.randic_index(built, alpha)
                     abs_err = abs(closed - oracle)
                     ok = abs_err <= max(tol * abs(oracle), 1e-12)
@@ -170,35 +179,23 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _polymeric_edge_count(n: int, m: int, t: int) -> int:
-    total = sum(m * closedform.repunit(n, i) + n ** i for i in range(1, t + 1))
-    return total + sum(n ** i for i in range(1, t))
-
-
 def _cmd_bench(args) -> int:
     base = _load_graph(args.graph)
     budget = _budget(args)
+    variant = _VARIANTS[args.variant]
     ts = _parse_t_range(args.t)
     lines = ["variant,t,closed_ns,construct_ns,vertices,edges"]
     for t in ts:
         start = time.perf_counter_ns()
-        _closed_report(base, args.variant, t, args.alpha, False)
+        variant.closed(base, t, args.alpha)
         closed_ns = time.perf_counter_ns() - start
-        if args.variant == "S":
-            vertices = base.n ** t
-            edges = base.m * closedform.repunit(base.n, t)
-        else:
-            vertices = (base.n + 1) * closedform.repunit(base.n, t)
-            edges = _polymeric_edge_count(base.n, base.m, t)
+        vertices, edges = variant.size(base, t)
         if vertices <= budget:
             start = time.perf_counter_ns()
-            built = (
-                construct.sierpinski_graph(base, t, budget)
-                if args.variant == "S"
-                else construct.polymeric_graph(base, t, budget)
-            )
+            built = variant.build(base, t, budget)
             construct_ns = str(time.perf_counter_ns() - start)
-            assert built.n == vertices and built.m == edges
+            if (built.n, built.m) != (vertices, edges):
+                raise ArithmeticError(f"built {(built.n, built.m)}, expected {(vertices, edges)}")
         else:
             construct_ns = "skipped: budget"
         lines.append(f"{args.variant},{t},{closed_ns},{construct_ns},{vertices},{edges}")
@@ -230,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="explicitly construct an expansion")
     p.add_argument("graph")
-    p.add_argument("--variant", choices=("S", "P"), required=True)
+    p.add_argument("--variant", choices=tuple(_VARIANTS), required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--labels", default=None, help="also write an 'id<TAB>label' sidecar file")
     add_budget(p)
@@ -239,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closed", help="closed-form index of an expansion (JSON)")
     p.add_argument("graph")
-    p.add_argument("--variant", choices=("S", "P"), required=True)
+    p.add_argument("--variant", choices=tuple(_VARIANTS), required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--breakdown", action="store_true", help="include the term breakdown")
@@ -258,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="sweep closed form against explicit construction")
     p.add_argument("graphs", nargs="+")
-    p.add_argument("--variant", action="append", choices=("S", "P"))
+    p.add_argument("--variant", action="append", choices=tuple(_VARIANTS))
     p.add_argument("--t", default="2..3", help="level or range, e.g. 2 or 2..3")
     p.add_argument("--alpha", action="append", type=float,
                    help="repeatable; default -1 -0.5 0.5 1 2")
@@ -269,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="closed form vs construction timings (CSV)")
     p.add_argument("graph")
-    p.add_argument("--variant", choices=("S", "P"), default="S")
+    p.add_argument("--variant", choices=tuple(_VARIANTS), default="S")
     p.add_argument("--t", default="2..8", help="level or range, e.g. 2..50")
     p.add_argument("--alpha", type=float, default=-0.5)
     add_budget(p)
@@ -284,9 +281,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except construct.VertexBudgetError as exc:
+    except construct.VertexBudgetError as exc:  # an OverflowError: must come first
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OverflowError as exc:
+        print(f"error: out of double range: {exc}", file=sys.stderr)
+        return 4
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import NamedTuple, Union
 
-from .construct import EdgeClassCounts, VertexClassCounts
+from .construct import EdgeClassCounts, VertexClassCounts, repunit
 from .graphs import (
     Graph,
     IndexParams,
@@ -30,18 +30,6 @@ from .graphs import (
 )
 
 Number = Union[int, float]
-
-
-def repunit(n: int, t: int) -> int:
-    """``1 + n + n**2 + ... + n**(t-1)`` exactly; 0 for ``t = 0``.
-
-    This is the length-``t`` base-``n`` repunit ``(n**t - 1) / (n - 1)``; it
-    counts, per base edge, the copies of that edge in the level-``t``
-    expansion.
-    """
-    if n < 2 or t < 0:
-        raise ValueError("repunit needs n >= 2 and t >= 0")
-    return (n ** t - 1) // (n - 1)
 
 
 def _int_ratio(num: int, den: int) -> int:
@@ -215,14 +203,17 @@ def _breakdown_json(breakdown) -> dict:
     }
 
 
+def _float_or_none(value: Number) -> float | None:
+    """``float(value)``, or None when an exact integer exceeds the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def _finish(variant: str, t: int, p: IndexParams, total: Number, breakdown) -> IndexReport:
-    if p.exact:
-        try:
-            value = float(total)
-        except OverflowError:
-            value = None
-        return IndexReport(variant, t, p.alpha, value, int(total), breakdown, "closed-form")
-    return IndexReport(variant, t, p.alpha, float(total), None, breakdown, "closed-form")
+    exact = int(total) if p.exact else None
+    return IndexReport(variant, t, p.alpha, _float_or_none(total), exact, breakdown, "closed-form")
 
 
 # -- expansion index ----------------------------------------------------------
@@ -300,20 +291,6 @@ def sierpinski_randic(
 
 # -- polymeric index ----------------------------------------------------------
 
-def polymeric_level1_randic(base: Graph, params: IndexParams | float) -> Number:
-    """Level-1 polymeric index: one hub of degree ``n`` joined to every base
-    vertex, every base degree lifted by one."""
-    p = as_params(params)
-    if not is_connected(base):
-        raise ValueError("polymeric index needs a connected base graph")
-    deg = base.degrees().tolist()
-    hub_terms = [_power(deg[x] + 1, p) for x in range(1, base.n + 1)]
-    lift_terms = [_power(deg[x] + 1, p) * _power(deg[y] + 1, p) for x, y in base.iter_edges()]
-    if p.exact:
-        return base.n ** p.int_alpha * sum(hub_terms) + sum(lift_terms)
-    return base.n ** p.alpha * math.fsum(hub_terms) + math.fsum(lift_terms)
-
-
 def polymeric_randic(
     base: Graph,
     t: int,
@@ -322,7 +299,9 @@ def polymeric_randic(
 ) -> IndexReport:
     """Degree-product index of the level-``t`` polymeric expansion.
 
-    ``t = 1`` reduces to :func:`polymeric_level1_randic`. For ``t >= 2`` the
+    ``t = 1`` is one hub of degree ``n`` joined to every base vertex, every
+    base degree lifted by one: the ``hub_root`` and ``first_copy`` terms alone
+    (no breakdown). For ``t >= 2`` those degrees are lifted by two and the
     value splits into the seven :class:`PolymericParts` edge groups; all
     integer prefactors (powers, repunits, the telescoped level sums) are
     exact.
@@ -332,10 +311,24 @@ def polymeric_randic(
         raise ValueError("t must be >= 1")
     if not is_connected(base):
         raise ValueError("polymeric index needs a connected base graph")
-    if t == 1:
-        return _finish("P", t, p, polymeric_level1_randic(base, p), None)
 
     n = base.n
+    # the level-1 copy's degrees gain its hub and, below the top, the parent link
+    lift = 1 if t == 1 else 2
+    degree_classes = Counter(base.degrees()[1:].tolist())
+
+    def vsum(f) -> Number:
+        return _class_sum(((f(d), k) for d, k in degree_classes.items()), p)
+
+    sum_p2 = vsum(lambda d: _power(d + lift, p))
+    hub_root = _power(n, p) * sum_p2
+    keys, classes = _edge_classes(base)
+    first_copy = _class_sum(
+        ((_power(dx + lift, p) * _power(dy + lift, p), k) for (dx, dy, _), k in classes.items()), p
+    )
+    if t == 1:
+        return _finish("P", t, p, hub_root + first_copy, None)
+
     psi1 = repunit(n, t - 1)
     psi2 = repunit(n, t - 2)
     lead = n ** (t - 2)
@@ -347,20 +340,9 @@ def polymeric_randic(
     s_links = _int_ratio(t - 1 - psi1, 1 - n)
 
     hub_deg_pow = _power(n + 1, p)
-    degree_classes = Counter(base.degrees()[1:].tolist())
-
-    def vsum(f) -> Number:
-        return _class_sum(((f(d), k) for d, k in degree_classes.items()), p)
-
-    sum_p2 = vsum(lambda d: _power(d + 2, p))
     sum_d_p2 = vsum(lambda d: d * _power(d + 2, p))
     sum_d_p3 = vsum(lambda d: d * _power(d + 3, p))
 
-    hub_root = _power(n, p) * sum_p2
-    keys, classes = _edge_classes(base)
-    first_copy = _class_sum(
-        ((_power(dx + 2, p) * _power(dy + 2, p), k) for (dx, dy, _), k in classes.items()), p
-    )
     hub_mid = hub_deg_pow * ((n * psi2) * sum_p2 + s_mid_hub * (sum_d_p3 - sum_d_p2))
     level_links = hub_deg_pow * (psi1 * sum_p2 + s_links * (sum_d_p3 - sum_d_p2))
     hub_top = hub_deg_pow * (vsum(lambda d: _power(d + 1, p) * (n ** (t - 1) - d * psi1)) + psi1 * sum_d_p2)

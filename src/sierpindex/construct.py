@@ -40,8 +40,11 @@ def _check_budget(requested: int, budget: int) -> None:
         raise VertexBudgetError(requested, budget)
 
 
-def _repunit(n: int, t: int) -> int:
-    # 1 + n + ... + n**(t-1); local twin of closedform.repunit to avoid a cycle
+def repunit(n: int, t: int) -> int:
+    """``1 + n + ... + n**(t-1)`` exactly (0 for ``t = 0``): per base edge, its
+    copies in the level-``t`` expansion."""
+    if n < 2 or t < 0:
+        raise ValueError("repunit needs n >= 2 and t >= 0")
     return (n ** t - 1) // (n - 1)
 
 
@@ -77,12 +80,12 @@ def _expansion_edge_block(base: Graph, t: int) -> np.ndarray:
     constant tails ``y...y`` / ``x...x`` of length ``t - i``.
     """
     n = base.n
-    out = np.empty((base.m * _repunit(n, t), 2), dtype=np.int64)
+    out = np.empty((base.m * repunit(n, t), 2), dtype=np.int64)
     row = 0
     for i in range(1, t + 1):
         tail = t - i
         shift = n ** tail
-        rep = _repunit(n, tail) if tail else 0
+        rep = repunit(n, tail)
         prefixes = np.arange(n ** (i - 1), dtype=np.int64) * n
         for x, y in base.iter_edges():
             u = (prefixes + (x - 1)) * shift + (y - 1) * rep
@@ -90,7 +93,8 @@ def _expansion_edge_block(base: Graph, t: int) -> np.ndarray:
             out[row:row + prefixes.size, 0] = u
             out[row:row + prefixes.size, 1] = v
             row += prefixes.size
-    assert row == out.shape[0]
+    if row != out.shape[0]:
+        raise ArithmeticError(f"edge block filled {row} of {out.shape[0]} rows")
     return out
 
 
@@ -132,7 +136,7 @@ class PolymericLayout:
     t: int
 
     def level_offset(self, i: int) -> int:
-        return (self.n + 1) * _repunit(self.n, i - 1)
+        return (self.n + 1) * repunit(self.n, i - 1)
 
     def hub_id(self, i: int, j: int) -> int:
         """Hub ``j`` (1-based, ``j <= n**(i-1)``) of level ``i``."""
@@ -152,7 +156,12 @@ class PolymericLayout:
 
     @property
     def total_vertices(self) -> int:
-        return (self.n + 1) * _repunit(self.n, self.t)
+        return (self.n + 1) * repunit(self.n, self.t)
+
+    def total_edges(self, m: int) -> int:
+        """Edges over a base with ``m`` edges: per level ``i``, ``m * repunit(n, i)``
+        copies, ``n**i`` hub fan-outs and, below the top, ``n**i`` parent links."""
+        return sum(m * repunit(self.n, i) + 2 * self.n ** i for i in range(1, self.t + 1)) - self.n ** self.t
 
 
 def polymeric_layout(n: int, t: int) -> PolymericLayout:
@@ -194,15 +203,12 @@ def polymeric_vertex_labels(base: Graph, t: int) -> list[str]:
     """Readable label per polymeric vertex id: ``hub/<level>/<j>`` or
     ``word/<level>/<word>``."""
     layout = polymeric_layout(base.n, t)
-    sep = "" if base.n <= 9 else "."
     labels = []
     for i in range(1, t + 1):
         labels.extend(f"hub/{i}/{j}" for j in range(1, base.n ** (i - 1) + 1))
-        labels.extend(
-            f"word/{i}/{sep.join(map(str, id_to_word(k, base.n, i)))}"
-            for k in range(1, base.n ** i + 1)
-        )
-    assert len(labels) == layout.total_vertices
+        labels.extend(f"word/{i}/{word}" for word in vertex_labels(base, i))
+    if len(labels) != layout.total_vertices:
+        raise ArithmeticError(f"{len(labels)} labels for {layout.total_vertices} vertices")
     return labels
 
 
@@ -265,13 +271,16 @@ def _decode_edge_origin(g: Graph, n: int, t: int) -> tuple[np.ndarray, np.ndarra
         rv //= n
     diff = du != dv
     first = diff.argmax(axis=1)
-    assert diff.any(axis=1).all(), "self-copy edge found"
+    if not diff.any(axis=1).all():
+        raise ArithmeticError("self-copy edge found")
     cols = np.arange(t)
     a = du[np.arange(g.m), first]
     b = dv[np.arange(g.m), first]
     after = cols[None, :] > first[:, None]
-    assert (np.where(after, du, b[:, None]) == b[:, None]).all(), "tail of first endpoint is not constant"
-    assert (np.where(after, dv, a[:, None]) == a[:, None]).all(), "tail of second endpoint is not constant"
+    if not (np.where(after, du, b[:, None]) == b[:, None]).all():
+        raise ArithmeticError("tail of first endpoint is not constant")
+    if not (np.where(after, dv, a[:, None]) == a[:, None]).all():
+        raise ArithmeticError("tail of second endpoint is not constant")
     return du[:, -1] + 1, dv[:, -1] + 1
 
 
@@ -288,13 +297,14 @@ def census_edge_classes(
     g = sierpinski_graph(base, t, budget)
     x, y = _decode_edge_origin(g, base.n, t)
     for u, v in np.unique(np.sort(np.column_stack((x, y)), axis=1), axis=0).tolist():
-        assert base.has_edge(u, v), f"decoded pair {{{u},{v}}} is not a base edge"
+        if not base.has_edge(u, v):
+            raise ArithmeticError(f"decoded pair {{{u},{v}}} is not a base edge")
     deg = g.degrees()
     base_deg = base.degrees()
     inc_x = deg[g.edges[:, 0]] - base_deg[x]
     inc_y = deg[g.edges[:, 1]] - base_deg[y]
-    assert ((inc_x == 0) | (inc_x == 1)).all(), "endpoint degree outside {d, d+1}"
-    assert ((inc_y == 0) | (inc_y == 1)).all(), "endpoint degree outside {d, d+1}"
+    if not (((inc_x == 0) | (inc_x == 1)) & ((inc_y == 0) | (inc_y == 1))).all():
+        raise ArithmeticError("endpoint degree outside {d, d+1}")
 
     # orient increments along the canonical (min, max) base edge
     swap = x > y
@@ -310,7 +320,8 @@ def census_edge_classes(
         slot = (u * (base.n + 1) + v) << 2
         c = counts[slot:slot + 4]
         out.append(EdgeClassCounts(u, v, int(c[0]), int(c[1]), int(c[2]), int(c[3])))
-    assert sum(e.total for e in out) == g.m
+    if sum(e.total for e in out) != g.m:
+        raise ArithmeticError("census does not cover every expansion edge")
     return out
 
 
@@ -324,7 +335,8 @@ def census_vertex_classes(
     g = sierpinski_graph(base, t, budget)
     last = (np.arange(g.n, dtype=np.int64)) % base.n + 1
     inc = g.degrees()[1:] - base.degrees()[last]
-    assert ((inc == 0) | (inc == 1)).all(), "copy degree outside {d, d+1}"
+    if not ((inc == 0) | (inc == 1)).all():
+        raise ArithmeticError("copy degree outside {d, d+1}")
     counts = np.bincount(last * 2 + inc, minlength=(base.n + 1) * 2)
     return [
         VertexClassCounts(x, int(counts[2 * x]), int(counts[2 * x + 1]))

@@ -300,7 +300,7 @@ def is_connected(g: Graph) -> bool:
 class IndexParams:
     """Exponent and arithmetic mode for degree-product indices.
 
-    ``alpha`` must be nonzero (edge counting is just ``m``). Exact mode keeps
+    ``alpha`` must be finite and nonzero (edge counting is just ``m``). Exact mode keeps
     every term an arbitrary-precision integer and requires an integer
     ``alpha >= 1``; it exists because the ``alpha = 1`` index of large
     expansions overflows 64-bit and double ranges.
@@ -310,6 +310,8 @@ class IndexParams:
     exact: bool = False
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
         if self.exact and not (float(self.alpha).is_integer() and self.alpha >= 1):
@@ -341,6 +343,8 @@ def degree_power_sum(g: Graph, alpha: float) -> float:
     ``alpha = 1`` gives twice the edge count; ``alpha = 2`` the classic
     squared-degree sum.
     """
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     deg = g.degrees().tolist()[1:]
     if alpha <= 0 and min(deg) == 0:
         raise ValueError("graph has an isolated vertex; alpha <= 0 is undefined")

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .closedform import PolymericParts, _int_ratio, repunit
+from .closedform import PolymericParts, _int_ratio
+from .construct import repunit
 
 #: Formula variants seen in print that do not survive the construction-oracle
 #: audit. Keys name the corrected public function; values identify the exact
@@ -243,29 +244,29 @@ def sierpinski_specialized(family: str, params: tuple, t: int, alpha: float) -> 
     return fn(*params, t, alpha)
 
 
+_POLYMERIC_LEVEL1_DISPATCH = {
+    "complete": polymeric_level1_complete,
+    "regular": polymeric_level1_regular,
+    "semiregular": polymeric_level1_semiregular,
+}
+
+_POLYMERIC_DISPATCH = {"complete": polymeric_complete, "regular": polymeric_regular}
+
+
 def polymeric_specialized(family: str, params: tuple, t: int, alpha: float) -> float | PolymericParts:
     """Dispatch to a polymeric family formula; level 1 returns a plain value,
     higher levels return the seven-part split."""
-    if t == 1:
-        level1 = {
-            "complete": polymeric_level1_complete,
-            "regular": polymeric_level1_regular,
-            "semiregular": polymeric_level1_semiregular,
-        }
-        try:
-            fn = level1[family]
-        except KeyError:
-            raise ValueError(f"no level-1 polymeric formula for family {family!r}") from None
-        return fn(*params, alpha)
-    deep = {"complete": polymeric_complete, "regular": polymeric_regular}
+    table = _POLYMERIC_LEVEL1_DISPATCH if t == 1 else _POLYMERIC_DISPATCH
     try:
-        fn = deep[family]
+        fn = table[family]
     except KeyError:
         raise ValueError(f"no level-{t} polymeric formula for family {family!r}") from None
-    return fn(*params, t, alpha)
+    return fn(*params, alpha) if t == 1 else fn(*params, t, alpha)
 
 
 def _check_alpha(alpha: float) -> None:
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
 

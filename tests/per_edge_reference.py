@@ -3,6 +3,7 @@
 This is the plain loop the library's class-grouped compile replaced: every
 base edge gets its own ``triangles_on_edge`` call, counters and four
 :class:`EdgeTerm` objects, and the totals are summed in canonical edge order.
+Level 1 of the polymeric expansion keeps its own vertex-by-vertex loop.
 The library must agree with it exactly: equal integers in exact mode,
 bit-identical floats otherwise, and the same per-edge breakdown.
 """
@@ -19,9 +20,8 @@ from sierpindex.closedform import (
     _finish,
     _int_ratio,
     _power,
-    polymeric_level1_randic,
-    repunit,
 )
+from sierpindex.construct import repunit
 from sierpindex.graphs import as_params, is_connected, randic_index, triangles_on_edge
 
 
@@ -53,6 +53,17 @@ def sierpinski_randic(base, t, params, include_breakdown=False):
     total = sum(w.weight for w in weights) if p.exact else math.fsum(w.weight for w in weights)
     breakdown = SierpinskiBreakdown(tuple(weights)) if include_breakdown else None
     return _finish("S", t, p, total, breakdown)
+
+
+def polymeric_level1_randic(base, p):
+    """One hub of degree ``n`` joined to every base vertex, every base degree
+    lifted by one; summed vertex by vertex and edge by edge."""
+    deg = base.degrees().tolist()
+    hub_terms = [_power(deg[x] + 1, p) for x in range(1, base.n + 1)]
+    lift_terms = [_power(deg[x] + 1, p) * _power(deg[y] + 1, p) for x, y in base.iter_edges()]
+    if p.exact:
+        return base.n ** p.int_alpha * sum(hub_terms) + sum(lift_terms)
+    return base.n ** p.alpha * math.fsum(hub_terms) + math.fsum(lift_terms)
 
 
 def polymeric_randic(base, t, params, include_breakdown=False):

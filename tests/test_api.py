@@ -1,0 +1,24 @@
+import sierpindex as sx
+
+# Any addition to or removal from the public API shows up as a diff here.
+PUBLIC_API = [
+    "DEFAULT_VERTEX_BUDGET", "DISPUTED_PRINTS", "DegreeProfile", "EdgeClassCounts", "Graph",
+    "GraphError", "IndexParams", "IndexReport", "ParseError", "PolymericBreakdown",
+    "PolymericLayout", "PolymericParts", "SierpinskiBreakdown", "VertexBudgetError",
+    "VertexClassCounts", "census_edge_classes", "census_vertex_classes", "closedform",
+    "complete_bipartite_graph", "complete_graph", "construct", "cycle_graph", "degree_power_sum",
+    "degree_profile", "demo_graph", "edge_class_counts", "edge_triangles", "generate_family",
+    "graphs", "id_to_word", "is_connected", "parse_edge_list", "path_graph", "polymeric_complete",
+    "polymeric_graph", "polymeric_layout", "polymeric_level1_complete", "polymeric_level1_regular",
+    "polymeric_level1_semiregular", "polymeric_randic", "polymeric_regular",
+    "polymeric_specialized", "polymeric_vertex_labels", "randic_index", "render_edge_list",
+    "repunit", "sierpinski_complete", "sierpinski_cycle", "sierpinski_graph", "sierpinski_path",
+    "sierpinski_randic", "sierpinski_randic_bounds", "sierpinski_regular",
+    "sierpinski_semiregular", "sierpinski_specialized", "sierpinski_star", "specialized",
+    "star_graph", "triangle_count", "triangles_on_edge", "vertex_class_counts", "vertex_labels",
+    "word_to_id",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(sx.__all__) == PUBLIC_API

@@ -21,6 +21,13 @@ def k3_file(tmp_path):
 
 
 @pytest.fixture()
+def k5_file(tmp_path):
+    path = tmp_path / "k5.txt"
+    path.write_text(sx.render_edge_list(sx.complete_graph(5)))
+    return str(path)
+
+
+@pytest.fixture()
 def k2_file(tmp_path):
     path = tmp_path / "k2.txt"
     path.write_text(sx.render_edge_list(sx.complete_graph(2)))
@@ -125,6 +132,30 @@ def test_closed_rejects_fractional_exact(capsys, k3_file):
     assert "exact mode" in err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_closed_rejects_non_finite_alpha(capsys, k3_file, alpha):
+    rc, out, err = run(capsys, "closed", k3_file, "--variant", "P", "--t", "2", f"--alpha={alpha}")
+    assert (rc, out) == (2, "")
+    assert "alpha must be finite" in err
+
+
+def test_closed_refuses_values_beyond_double_range(capsys, k5_file):
+    # a float conversion that overflows, and a float product that overflowed to inf
+    for argv in (("--t", "1000", "--alpha", "-0.5"), ("--t", "150", "--alpha", "150")):
+        rc, out, err = run(capsys, "closed", k5_file, "--variant", "S", *argv)
+        assert (rc, out) == (4, "")
+        assert err.startswith("error: out of double range") and err.count("\n") == 1
+
+
+def test_budget_refusal_keeps_exit_3(capsys, k3_file):
+    # VertexBudgetError is an OverflowError; it must not fall into exit 4
+    assert issubclass(sx.VertexBudgetError, OverflowError)
+    rc, _, err = run(capsys, "expand", k3_file, "--variant", "P", "--t", "30")
+    assert rc == 3 and "vertex budget exceeded" in err
+    rc, _, err = run(capsys, "verify", k3_file, "--t", "30", "--budget", "10")
+    assert rc == 3 and "vertex budget exceeded" in err
+
+
 def test_closed_output_is_byte_identical(capsys, k3_file):
     outs = []
     for _ in range(2):
@@ -143,6 +174,18 @@ def test_direct(capsys, k3_file):
     assert json.loads(out)["value"] == 6.0
     rc, out, _ = run(capsys, "direct", k3_file, "--alpha", "2", "--exact")
     assert json.loads(out)["exact"] == "48"
+
+
+def test_direct_exact_beyond_double_range(capsys, k5_file):
+    rc, out, _ = run(capsys, "direct", k5_file, "--alpha", "300", "--exact")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["value"] is None
+    assert doc["exact"] == str(sx.randic_index(sx.complete_graph(5), sx.IndexParams(300, exact=True)))
+    rc, out, err = run(capsys, "direct", k5_file, "--alpha", "300")
+    assert (rc, out) == (4, "") and "out of double range" in err
+    rc, _, err = run(capsys, "direct", k5_file, "--alpha", "nan")
+    assert rc == 2 and "alpha must be finite" in err
 
 
 def test_verify_passes_and_reports(capsys, k3_file, tmp_path):
@@ -169,7 +212,8 @@ def test_verify_detects_a_perturbed_formula(capsys, k3_file, monkeypatch):
             report.value * (1 + 1e-6), report.exact, report.breakdown, report.source,
         )
 
-    monkeypatch.setattr(closedform, "sierpinski_randic", skewed)
+    # the CLI reaches the closed forms through its variant table
+    monkeypatch.setitem(cli._VARIANTS, "S", cli._VARIANTS["S"]._replace(closed=skewed))
     rc, out, _ = run(capsys, "verify", k3_file, "--variant", "S", "--t", "2",
                      "--alpha", "-0.5")
     assert rc == 1

@@ -210,11 +210,11 @@ def test_exact_value_is_none_beyond_double_range():
 # -- polymeric index --------------------------------------------------------------------
 
 def test_level_one_polymeric_values():
-    assert rel_close(sx.polymeric_level1_randic(sx.complete_graph(3), -0.5), 2.0)
-    assert sx.polymeric_level1_randic(sx.complete_graph(2), sx.IndexParams(1, exact=True)) == 12
+    assert rel_close(sx.polymeric_randic(sx.complete_graph(3), 1, -0.5).value, 2.0)
+    assert sx.polymeric_randic(sx.complete_graph(2), 1, sx.IndexParams(1, exact=True)).exact == 12
     # hub over a 4-cycle: four spokes at 4*3 plus four rim edges at 3*3
     want = 2 / math.sqrt(3) + 4 / 3
-    assert rel_close(sx.polymeric_level1_randic(sx.cycle_graph(4), -0.5), want)
+    assert rel_close(sx.polymeric_randic(sx.cycle_graph(4), 1, -0.5).value, want)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import networkx as nx
@@ -137,6 +142,32 @@ def test_vertex_census_totals(corpus, name):
             assert c.total == g.n ** (t - 1)
 
 
+def test_census_guards_survive_optimized_mode():
+    # the decode invariants must still refuse a corrupted expansion when
+    # python -O strips asserts
+    script = """
+import sys
+import sierpindex as sx
+from sierpindex import construct
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+base = sx.complete_graph(3)
+for edges in ([(1, 9)], [(1, 2)]):  # a broken tail, a degree below base
+    construct.sierpinski_graph = lambda b, t, budget, edges=edges: sx.Graph(b.n ** t, edges)
+    try:
+        construct.census_edge_classes(base, 2)
+    except ArithmeticError:
+        continue
+    sys.exit(f"census accepted the corrupted expansion {edges}")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 def test_census_requires_depth():
     with pytest.raises(ValueError):
         sx.census_edge_classes(sx.complete_graph(3), 1)
@@ -176,6 +207,15 @@ def test_polymeric_sizes(corpus, name, t):
     expected_m = sum(g.m * sx.repunit(n, i) + n ** i for i in range(1, t + 1))
     expected_m += sum(n ** i for i in range(1, t))
     assert p.m == expected_m
+
+
+@pytest.mark.parametrize("name", ["demo7", "K4", "C6", "K2_3"])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_polymeric_layout_counts_match_built_graph(corpus, name, t):
+    g = corpus[name]
+    layout = sx.polymeric_layout(g.n, t)
+    built = sx.polymeric_graph(g, t)
+    assert (layout.total_vertices, layout.total_edges(g.m)) == (built.n, built.m)
 
 
 @pytest.mark.parametrize("name", ["K3", "P4", "K1_3"])

@@ -156,6 +156,11 @@ def test_index_params_validation():
         sx.IndexParams(0.5, exact=True)
     with pytest.raises(ValueError):
         sx.IndexParams(-1, exact=True)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sx.IndexParams(alpha)
+        with pytest.raises(ValueError, match="finite"):
+            sx.degree_power_sum(sx.complete_graph(3), alpha)
     assert sx.IndexParams(2, exact=True).int_alpha == 2
 
 

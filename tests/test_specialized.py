@@ -2,6 +2,8 @@
 instances; formula variants recorded in DISPUTED_PRINTS must demonstrably
 diverge (that is what justifies the corrected forms)."""
 
+import math
+
 import pytest
 
 import sierpindex as sx
@@ -198,8 +200,10 @@ def test_sierpinski_dispatcher():
 def test_polymeric_dispatcher():
     assert sx.polymeric_specialized("complete", (3,), 1, -0.5) == sx.polymeric_level1_complete(3, -0.5)
     assert sx.polymeric_specialized("complete", (3,), 2, -0.5) == sx.polymeric_complete(3, 2, -0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="level-2"):
         sx.polymeric_specialized("semiregular", (1, 3, 3, 1), 2, -0.5)
+    with pytest.raises(ValueError, match="level-1"):
+        sx.polymeric_specialized("star", (3,), 1, -0.5)
 
 
 def test_validation():
@@ -211,5 +215,10 @@ def test_validation():
         sx.sierpinski_semiregular(2, 3, 3, 1, 2, -0.5)  # part sums differ
     with pytest.raises(ValueError):
         sx.sierpinski_complete(3, 2, 0.0)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sx.sierpinski_complete(3, 2, alpha)
+        with pytest.raises(ValueError, match="finite"):
+            sx.polymeric_regular(4, 2, 0, 2, alpha)
     with pytest.raises(ValueError):
         sx.polymeric_regular(3, 2, 1, 1, -0.5)  # level 1 has its own formula
