@@ -212,6 +212,9 @@ def _float_or_none(value: Number) -> float | None:
 
 
 def _finish(variant: str, t: int, p: IndexParams, total: Number, breakdown) -> IndexReport:
+    # with finite alpha a float total is non-finite only when a power product overflowed
+    if not p.exact and not math.isfinite(total):
+        raise OverflowError(f"float {variant} index at t={t}, alpha={p.alpha:g} exceeds the double range")
     exact = int(total) if p.exact else None
     return IndexReport(variant, t, p.alpha, _float_or_none(total), exact, breakdown, "closed-form")
 

@@ -80,6 +80,7 @@ def _expansion_edge_block(base: Graph, t: int) -> np.ndarray:
     constant tails ``y...y`` / ``x...x`` of length ``t - i``.
     """
     n = base.n
+    x, y = (base.edges - 1).T[:, :, None]  # one row per base edge, one column per prefix
     out = np.empty((base.m * repunit(n, t), 2), dtype=np.int64)
     row = 0
     for i in range(1, t + 1):
@@ -87,12 +88,10 @@ def _expansion_edge_block(base: Graph, t: int) -> np.ndarray:
         shift = n ** tail
         rep = repunit(n, tail)
         prefixes = np.arange(n ** (i - 1), dtype=np.int64) * n
-        for x, y in base.iter_edges():
-            u = (prefixes + (x - 1)) * shift + (y - 1) * rep
-            v = (prefixes + (y - 1)) * shift + (x - 1) * rep
-            out[row:row + prefixes.size, 0] = u
-            out[row:row + prefixes.size, 1] = v
-            row += prefixes.size
+        rows = slice(row, row + base.m * prefixes.size)
+        out[rows, 0] = ((prefixes + x) * shift + y * rep).ravel()
+        out[rows, 1] = ((prefixes + y) * shift + x * rep).ravel()
+        row = rows.stop
     if row != out.shape[0]:
         raise ArithmeticError(f"edge block filled {row} of {out.shape[0]} rows")
     return out
@@ -261,27 +260,19 @@ def _decode_edge_origin(g: Graph, n: int, t: int) -> tuple[np.ndarray, np.ndarra
     """
     u = g.edges[:, 0] - 1
     v = g.edges[:, 1] - 1
-    du = np.empty((g.m, t), dtype=np.int64)
-    dv = np.empty((g.m, t), dtype=np.int64)
-    ru, rv = u.copy(), v.copy()
-    for pos in range(t - 1, -1, -1):
-        du[:, pos] = ru % n
-        dv[:, pos] = rv % n
-        ru //= n
-        rv //= n
-    diff = du != dv
-    first = diff.argmax(axis=1)
-    if not diff.any(axis=1).all():
+    power = n ** np.arange(t + 1, dtype=np.int64)
+    # tail length after the first differing letter: the words agree on their
+    # prefixes of length t - j exactly when j > tail
+    tail = (u[:, None] // power != v[:, None] // power).sum(axis=1) - 1
+    if (tail < 0).any():
         raise ArithmeticError("self-copy edge found")
-    cols = np.arange(t)
-    a = du[np.arange(g.m), first]
-    b = dv[np.arange(g.m), first]
-    after = cols[None, :] > first[:, None]
-    if not (np.where(after, du, b[:, None]) == b[:, None]).all():
+    a, b = u // power[tail] % n, v // power[tail] % n
+    rep = (power[tail] - 1) // (n - 1)
+    if (u % power[tail] != b * rep).any():
         raise ArithmeticError("tail of first endpoint is not constant")
-    if not (np.where(after, dv, a[:, None]) == a[:, None]).all():
+    if (v % power[tail] != a * rep).any():
         raise ArithmeticError("tail of second endpoint is not constant")
-    return du[:, -1] + 1, dv[:, -1] + 1
+    return u % n + 1, v % n + 1
 
 
 def census_edge_classes(
@@ -296,9 +287,15 @@ def census_edge_classes(
         raise ValueError("census needs t >= 2")
     g = sierpinski_graph(base, t, budget)
     x, y = _decode_edge_origin(g, base.n, t)
-    for u, v in np.unique(np.sort(np.column_stack((x, y)), axis=1), axis=0).tolist():
-        if not base.has_edge(u, v):
-            raise ArithmeticError(f"decoded pair {{{u},{v}}} is not a base edge")
+    # orient every copy along its canonical (min, max) base edge, packed as min*(n+1)+max
+    n1, swap = base.n + 1, x > y
+    pair = np.where(swap, y, x) * n1 + np.where(swap, x, y)
+    base_keys = base.edges[:, 0] * n1 + base.edges[:, 1]
+    decoded = np.unique(pair)
+    unknown = decoded[~np.isin(decoded, base_keys)]
+    if unknown.size:
+        u, v = divmod(int(unknown[0]), n1)
+        raise ArithmeticError(f"decoded pair {{{u},{v}}} is not a base edge")
     deg = g.degrees()
     base_deg = base.degrees()
     inc_x = deg[g.edges[:, 0]] - base_deg[x]
@@ -306,23 +303,11 @@ def census_edge_classes(
     if not (((inc_x == 0) | (inc_x == 1)) & ((inc_y == 0) | (inc_y == 1))).all():
         raise ArithmeticError("endpoint degree outside {d, d+1}")
 
-    # orient increments along the canonical (min, max) base edge
-    swap = x > y
-    bx = np.where(swap, y, x)
-    by = np.where(swap, x, y)
-    bi = np.where(swap, inc_y, inc_x)
-    bj = np.where(swap, inc_x, inc_y)
-
-    code = ((bx * (base.n + 1) + by) << 2) | (bi << 1).astype(np.int64) | bj
-    counts = np.bincount(code, minlength=(base.n + 1) ** 2 << 2)
-    out = []
-    for u, v in base.iter_edges():
-        slot = (u * (base.n + 1) + v) << 2
-        c = counts[slot:slot + 4]
-        out.append(EdgeClassCounts(u, v, int(c[0]), int(c[1]), int(c[2]), int(c[3])))
-    if sum(e.total for e in out) != g.m:
+    code = (pair << 2) | (np.where(swap, inc_y, inc_x) << 1) | np.where(swap, inc_x, inc_y)
+    counts = np.bincount(code, minlength=n1 ** 2 << 2).reshape(-1, 4)[base_keys]
+    if counts.sum() != g.m:
         raise ArithmeticError("census does not cover every expansion edge")
-    return out
+    return [EdgeClassCounts(u, v, *c) for (u, v), c in zip(base.iter_edges(), counts.tolist())]
 
 
 def census_vertex_classes(

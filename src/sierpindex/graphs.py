@@ -10,8 +10,8 @@ across threads.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -52,21 +52,18 @@ class Graph:
         if (e[:, 0] == e[:, 1]).any():
             raise GraphError("self-loops are not allowed")
 
-        lo = np.minimum(e[:, 0], e[:, 1])
-        hi = np.maximum(e[:, 0], e[:, 1])
-        key = np.unique(lo * np.int64(n + 1) + hi)
-        if key.size != lo.size:
+        n1 = np.int64(n + 1)
+        key = np.sort(np.minimum(e[:, 0], e[:, 1]) * n1 + np.maximum(e[:, 0], e[:, 1]))
+        if (key[1:] == key[:-1]).any():
             raise GraphError("duplicate edges are not allowed")
-        # unique() sorts by key, which is exactly lexicographic (lo, hi) order
-        canon = np.column_stack((key // (n + 1), key % (n + 1)))
-
-        src = np.concatenate((canon[:, 0], canon[:, 1]))
-        dst = np.concatenate((canon[:, 1], canon[:, 0]))
-        order = np.lexsort((dst, src))
-        indices = np.ascontiguousarray(dst[order])
-        counts = np.bincount(src, minlength=n + 1)
+        # sorted (lo, hi) keys are exactly lexicographic edge order
+        lo, hi = np.divmod(key, n1)
+        canon = np.column_stack((lo, hi))
+        # both orientations of every edge as src*(n+1)+dst arcs: one sort gives CSR order
+        arcs = np.sort(np.concatenate((key, hi * n1 + lo)))
+        src, indices = np.divmod(arcs, n1)
         indptr = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(np.bincount(src, minlength=n + 1), out=indptr[1:])
 
         for arr in (canon, indices, indptr):
             arr.flags.writeable = False
@@ -117,58 +114,81 @@ def parse_edge_list(text: str) -> Graph:
 
     Format: optional comment lines starting ``#``, one header line
     ``p <n> <m>``, then exactly ``m`` lines ``<u> <v>`` with 1-based ids,
-    ``u != v``, whitespace separated. Errors report the offending line.
+    ``u != v``, whitespace separated. Errors report the first offending line
+    in file order.
     """
-    n = m = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            parts = line.split()
-            if len(parts) != 3 or parts[0] != "p":
-                raise ParseError("expected header 'p <n> <m>'", line_no)
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("header counts must be integers", line_no) from None
-            if n < 2:
-                raise ParseError("need at least 2 vertices", line_no)
-            if m < 1:
-                raise ParseError("need at least 1 edge", line_no)
-            continue
-        if len(edges) == m:
-            raise ParseError(f"edge count mismatch: header says m={m}", line_no)
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("expected an edge line '<u> <v>'", line_no)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("vertex ids must be integers", line_no) from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"vertex id out of range 1..{n}", line_no)
-        if u == v:
-            raise ParseError("self-loop", line_no)
-        edge = (u, v) if u < v else (v, u)
-        if edge in seen:
-            raise ParseError(f"duplicate edge {{{edge[0]},{edge[1]}}}", line_no)
-        seen.add(edge)
-        edges.append(edge)
-    if n is None:
+    lines = text.splitlines()
+    tokens = list(map(str.split, lines))
+    ntok = np.fromiter(map(len, tokens), np.int64, len(tokens))
+    comment = np.zeros(len(lines), dtype=bool)
+    if "#" in text:
+        comment[:] = np.fromiter(map(str.startswith, map(str.lstrip, lines), repeat("#")), bool, len(lines))
+    content = np.flatnonzero((ntok > 0) & ~comment)
+    if not content.size:
         raise ParseError("missing header 'p <n> <m>'")
-    if len(edges) != m:
-        raise ParseError(f"edge count mismatch: header says m={m}, found {len(edges)}")
-    return Graph(n, edges)
+    head, body = int(content[0]) + 1, content[1:]
+    parts = tokens[head - 1]
+    if len(parts) != 3 or parts[0] != "p":
+        raise ParseError("expected header 'p <n> <m>'", head)
+    try:
+        n, m = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ParseError("header counts must be integers", head) from None
+    if n < 2:
+        raise ParseError("need at least 2 vertices", head)
+    if m < 1:
+        raise ParseError("need at least 1 edge", head)
+
+    # Each check looks only at the edge lines before the first problem found
+    # so far, in the order a line-by-line reader would meet them.
+    stop, problem = body.size, None
+
+    def first(bad: np.ndarray) -> int | None:
+        return int(bad.argmax()) if bad[:stop].any() else None
+
+    if body.size > m:
+        stop, problem = m, f"edge count mismatch: header says m={m}"
+    if (k := first(ntok[body[:stop]] != 2)) is not None:
+        stop, problem = k, "expected an edge line '<u> <v>'"
+    edge_lines = np.zeros(len(lines), dtype=bool)
+    edge_lines[body[:stop]] = True
+    ids: list[int] = []
+    try:
+        ids.extend(map(int, chain.from_iterable(compress(tokens, edge_lines.tolist()))))
+    except ValueError:  # extend keeps the ids before the first token int() rejects
+        stop, problem = len(ids) // 2, "vertex ids must be integers"
+    del ids[2 * stop:]
+    try:
+        uv = np.array(ids, dtype=np.int64)
+    except OverflowError:
+        # an id past int64: the checks need only its range and equality, and
+        # if it is in range, n is past int64 too and Graph refuses n itself
+        uv = np.array(ids, dtype=object)
+    in_range = (uv >= 1) & (uv <= n)
+    if uv.dtype == object:
+        uv = np.unique(uv, return_inverse=True)[1] + 1
+    uv = uv.reshape(-1, 2)
+    if (k := first(~(in_range[0::2] & in_range[1::2]))) is not None:
+        stop, problem = k, f"vertex id out of range 1..{n}"
+    if (k := first(uv[:, 0] == uv[:, 1])) is not None:
+        stop, problem = k, "self-loop"
+    lo, hi = np.minimum(uv[:stop, 0], uv[:stop, 1]), np.maximum(uv[:stop, 0], uv[:stop, 1])
+    order = np.lexsort((hi, lo))  # stable: equal pairs keep file order
+    repeat_of_previous = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+    if repeat_of_previous.any():
+        stop = int(order[1:][repeat_of_previous].min())
+        u, v = sorted(ids[2 * stop:2 * stop + 2])
+        problem = f"duplicate edge {{{u},{v}}}"
+    if problem is not None:
+        raise ParseError(problem, int(body[stop]) + 1)
+    if body.size != m:
+        raise ParseError(f"edge count mismatch: header says m={m}, found {body.size}")
+    return Graph(n, uv)
 
 
 def render_edge_list(g: Graph) -> str:
     """Inverse of :func:`parse_edge_list`; canonical order, LF newlines."""
-    lines = [f"p {g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.iter_edges())
-    return "\n".join(lines) + "\n"
+    return f"p {g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(g._edges.ravel().tolist())
 
 
 # -- named families ----------------------------------------------------------
@@ -281,17 +301,34 @@ def triangle_count(g: Graph) -> int:
     return total // 3
 
 
+def _bfs_colors(g: Graph, roots: Iterable[int]) -> tuple[bytearray, bool]:
+    """Breadth-first search on plain lists from each root not yet reached.
+
+    ``color[v]`` is 1 or 2 by the parity of ``v``'s depth below its root and 0
+    if ``v`` was not reached (entry 0 is unused). The flag says whether an
+    edge joins two vertices of one color: a reached component is not bipartite.
+    """
+    indptr, indices = g._indptr.tolist(), g._indices.tolist()
+    color = bytearray(g.n + 1)
+    clash = False
+    for root in roots:
+        if color[root]:
+            continue
+        color[root] = 1
+        queue = [root]
+        for v in queue:  # grows while it is walked: first in, first out
+            other = 3 - color[v]
+            for w in indices[indptr[v]:indptr[v + 1]]:
+                if not color[w]:
+                    color[w] = other
+                    queue.append(w)
+                elif color[w] != other:
+                    clash = True
+    return color, clash
+
+
 def is_connected(g: Graph) -> bool:
-    seen = np.zeros(g.n + 1, dtype=bool)
-    seen[1] = True
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v).tolist():
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    return bool(seen[1:].all())
+    return _bfs_colors(g, (1,))[0].find(0, 1) < 0
 
 
 # -- degree-product indices --------------------------------------------------
@@ -328,13 +365,17 @@ def as_params(params: IndexParams | float) -> IndexParams:
 
 
 def randic_index(g: Graph, params: IndexParams | float) -> float | int:
-    """Sum over edges of ``(deg(u) * deg(v)) ** alpha`` in canonical order."""
+    """Sum over edges of ``(deg(u) * deg(v)) ** alpha``, one power per distinct
+    degree product. Float mode gives ``fsum`` each power once per edge: the
+    edge-by-edge multiset, so the same correctly rounded bits."""
     p = as_params(params)
-    deg = g.degrees().tolist()
+    deg = g.degrees()
+    prods, counts = np.unique(deg[g._edges[:, 0]] * deg[g._edges[:, 1]], return_counts=True)
+    classes = zip(prods.tolist(), counts.tolist())
     if p.exact:
         a = p.int_alpha
-        return sum((deg[u] * deg[v]) ** a for u, v in g.iter_edges())
-    return math.fsum((deg[u] * deg[v]) ** p.alpha for u, v in g.iter_edges())
+        return sum(k * d ** a for d, k in classes)
+    return math.fsum(chain.from_iterable(repeat(d ** p.alpha, k) for d, k in classes))
 
 
 def degree_power_sum(g: Graph, alpha: float) -> float:
@@ -367,38 +408,17 @@ class DegreeProfile:
     bipartite_semiregular: tuple[int, int, int, int] | None
 
 
-def _two_coloring(g: Graph) -> np.ndarray | None:
-    """Per-vertex colors 0/1 if bipartite, else None."""
-    color = np.full(g.n + 1, -1, dtype=np.int8)
-    for root in range(1, g.n + 1):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v).tolist():
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return color
-
-
 def degree_profile(g: Graph) -> DegreeProfile:
     deg = g.degrees()[1:]
     dmin, dmax = int(deg.min()), int(deg.max())
     regular = dmin == dmax
     semi = None
-    color = _two_coloring(g)
-    if color is not None:
-        part1 = np.flatnonzero(color[1:] == color[1]) + 1
-        part2 = np.flatnonzero(color[1:] != color[1]) + 1
-        d1 = deg[part1 - 1]
-        d2 = deg[part2 - 1]
-        if part2.size and d1.min() == d1.max() and d2.min() == d2.max():
-            semi = (int(part1.size), int(part2.size), int(d1[0]), int(d2[0]))
+    color, odd_cycle = _bfs_colors(g, range(1, g.n + 1))
+    if not odd_cycle:
+        side1 = np.frombuffer(color, dtype=np.uint8)[1:] == 1  # every root, vertex 1 too, has color 1
+        d1, d2 = deg[side1], deg[~side1]
+        if d2.size and d1.min() == d1.max() and d2.min() == d2.max():
+            semi = (int(d1.size), int(d2.size), int(d1[0]), int(d2[0]))
     return DegreeProfile(
         min_degree=dmin,
         max_degree=dmax,

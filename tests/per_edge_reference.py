@@ -1,14 +1,24 @@
-"""Edge-by-edge evaluation of the closed forms, kept as a test reference.
+"""Line-by-line and edge-by-edge code the library replaced, kept as a test reference.
 
-This is the plain loop the library's class-grouped compile replaced: every
-base edge gets its own ``triangles_on_edge`` call, counters and four
-:class:`EdgeTerm` objects, and the totals are summed in canonical edge order.
-Level 1 of the polymeric expansion keeps its own vertex-by-vertex loop.
-The library must agree with it exactly: equal integers in exact mode,
-bit-identical floats otherwise, and the same per-edge breakdown.
+The closed forms: every base edge gets its own ``triangles_on_edge`` call,
+counters and four :class:`EdgeTerm` objects, and the totals are summed in
+canonical edge order. Level 1 of the polymeric expansion keeps its own
+vertex-by-vertex loop.
+
+The oracle and edge-list I/O: a reader that checks one line at a time, a
+writer that formats one edge at a time, ``randic_index`` summed edge by edge,
+the CSR arrays of :class:`Graph` built with ``lexsort``, and the connectivity
+and 2-coloring searches over numpy arrays.
+
+The library must agree with all of it exactly: equal integers in exact mode,
+bit-identical floats otherwise, the same per-edge breakdown, the same graphs,
+bytes and errors.
 """
 
 import math
+from collections import deque
+
+import numpy as np
 
 from sierpindex.closedform import (
     EdgeTerm,
@@ -22,7 +32,140 @@ from sierpindex.closedform import (
     _power,
 )
 from sierpindex.construct import repunit
-from sierpindex.graphs import as_params, is_connected, randic_index, triangles_on_edge
+from sierpindex.graphs import Graph, GraphError, ParseError, as_params, triangles_on_edge
+
+
+# -- the oracle and edge-list I/O ------------------------------------------------
+
+def graph_arrays(n, edges):
+    """Canonical edges and CSR ``(indptr, indices)`` as ``Graph(n, edges)``
+    built them with ``np.unique`` and ``lexsort``; raises what it raised."""
+    if n < 2:
+        raise GraphError(f"need at least 2 vertices, got n={n}")
+    e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    if e.ndim != 2 or e.shape[1] != 2 or e.shape[0] == 0:
+        raise GraphError("need a nonempty sequence of vertex pairs")
+    if e.min() < 1 or e.max() > n:
+        raise GraphError(f"vertex id out of range 1..{n}")
+    if (e[:, 0] == e[:, 1]).any():
+        raise GraphError("self-loops are not allowed")
+    lo = np.minimum(e[:, 0], e[:, 1])
+    hi = np.maximum(e[:, 0], e[:, 1])
+    key = np.unique(lo * np.int64(n + 1) + hi)
+    if key.size != lo.size:
+        raise GraphError("duplicate edges are not allowed")
+    canon = np.column_stack((key // (n + 1), key % (n + 1)))
+    src = np.concatenate((canon[:, 0], canon[:, 1]))
+    dst = np.concatenate((canon[:, 1], canon[:, 0]))
+    order = np.lexsort((dst, src))
+    indices = np.ascontiguousarray(dst[order])
+    counts = np.bincount(src, minlength=n + 1)
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return canon, indptr, indices
+
+
+def parse_edge_list(text):
+    n = m = None
+    edges = []
+    seen = set()
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if n is None:
+            parts = line.split()
+            if len(parts) != 3 or parts[0] != "p":
+                raise ParseError("expected header 'p <n> <m>'", line_no)
+            try:
+                n, m = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError("header counts must be integers", line_no) from None
+            if n < 2:
+                raise ParseError("need at least 2 vertices", line_no)
+            if m < 1:
+                raise ParseError("need at least 1 edge", line_no)
+            continue
+        if len(edges) == m:
+            raise ParseError(f"edge count mismatch: header says m={m}", line_no)
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError("expected an edge line '<u> <v>'", line_no)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("vertex ids must be integers", line_no) from None
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"vertex id out of range 1..{n}", line_no)
+        if u == v:
+            raise ParseError("self-loop", line_no)
+        edge = (u, v) if u < v else (v, u)
+        if edge in seen:
+            raise ParseError(f"duplicate edge {{{edge[0]},{edge[1]}}}", line_no)
+        seen.add(edge)
+        edges.append(edge)
+    if n is None:
+        raise ParseError("missing header 'p <n> <m>'")
+    if len(edges) != m:
+        raise ParseError(f"edge count mismatch: header says m={m}, found {len(edges)}")
+    return Graph(n, edges)
+
+
+def render_edge_list(g):
+    lines = [f"p {g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.iter_edges())
+    return "\n".join(lines) + "\n"
+
+
+def randic_index(g, params):
+    p = as_params(params)
+    deg = g.degrees().tolist()
+    if p.exact:
+        a = p.int_alpha
+        return sum((deg[u] * deg[v]) ** a for u, v in g.iter_edges())
+    return math.fsum((deg[u] * deg[v]) ** p.alpha for u, v in g.iter_edges())
+
+
+def is_connected(g):
+    seen = np.zeros(g.n + 1, dtype=bool)
+    seen[1] = True
+    queue = deque([1])
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors(v).tolist():
+            if not seen[w]:
+                seen[w] = True
+                queue.append(w)
+    return bool(seen[1:].all())
+
+
+def bipartite_semiregular(g):
+    """``degree_profile(g).bipartite_semiregular`` from a per-vertex numpy
+    2-coloring, every component rooted at its lowest vertex with color 0."""
+    color = np.full(g.n + 1, -1, dtype=np.int8)
+    for root in range(1, g.n + 1):
+        if color[root] >= 0:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v).tolist():
+                if color[w] < 0:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+    deg = g.degrees()[1:]
+    part1 = np.flatnonzero(color[1:] == color[1]) + 1
+    part2 = np.flatnonzero(color[1:] != color[1]) + 1
+    d1, d2 = deg[part1 - 1], deg[part2 - 1]
+    if part2.size and d1.min() == d1.max() and d2.min() == d2.max():
+        return (int(part1.size), int(part2.size), int(d1[0]), int(d2[0]))
+    return None
+
+
+# -- the closed forms --------------------------------------------------------------
 
 
 def _edge_weight(x, y, dx, dy, counters, shift, p):

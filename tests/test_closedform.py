@@ -207,6 +207,18 @@ def test_exact_value_is_none_beyond_double_range():
     assert rep.value is None and rep.exact > 10 ** 308
 
 
+@pytest.mark.parametrize("closed", [sx.sierpinski_randic, sx.polymeric_randic])
+@pytest.mark.parametrize("t, alpha", [(2, 300.0), (150, 150.0)])
+def test_float_overflow_is_refused_not_returned(closed, t, alpha):
+    # (2, 300): a zero counter times an inf power product would be nan;
+    # (150, 150): the float total would be inf
+    k5 = sx.complete_graph(5)
+    with pytest.raises(OverflowError, match="exceeds the double range"):
+        closed(k5, t, alpha)
+    # the true values are past 1e308, as exact mode shows
+    assert closed(k5, t, sx.IndexParams(int(alpha), exact=True)).exact > 10 ** 308
+
+
 # -- polymeric index --------------------------------------------------------------------
 
 def test_level_one_polymeric_values():
