@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, repeat
 from typing import NamedTuple, Union
 
@@ -33,10 +32,10 @@ Number = Union[int, float]
 
 
 def _int_ratio(num: int, den: int) -> int:
-    f = Fraction(num, den)
-    if f.denominator != 1:
-        raise ArithmeticError(f"prefactor {f} expected to be integral")
-    return int(f)
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"prefactor {num}/{den} expected to be integral")
+    return q
 
 
 def _counters(n: int, dx: int, dy: int, tau: int, lead: int, rep: int) -> tuple[int, int, int, int]:
@@ -161,12 +160,7 @@ class IndexReport:
     source: str  # "closed-form" or "construction"
 
     def to_json_dict(self) -> dict:
-        doc: dict = {
-            "variant": self.variant,
-            "t": self.t,
-            "alpha": self.alpha,
-            "value": self.value,
-        }
+        doc: dict = {"variant": self.variant, "t": self.t, "alpha": self.alpha, "value": self.value}
         if self.breakdown is not None:
             doc["breakdown"] = _breakdown_json(self.breakdown)
         if self.exact is not None:
@@ -180,17 +174,16 @@ def _num_json(v: Number | None):
 
 
 def _edge_weights_json(weights: tuple[EdgeWeight, ...]) -> list[dict]:
-    return [
-        {
-            "edge": [w.x, w.y],
-            "terms": [
-                {"count": str(term.count), "degrees": list(term.degrees), "value": _num_json(term.value)}
-                for term in w.terms
-            ],
-            "weight": _num_json(w.weight),
-        }
-        for w in weights
-    ]
+    # a degree class's edges share their terms and weight objects: render those once
+    # (ids are stable while `weights` holds them), but give each edge its own containers
+    rendered, docs = {}, []
+    for w in weights:
+        if (key := (id(w.terms), id(w.weight))) not in rendered:
+            rendered[key] = [(str(u.count), *u.degrees, _num_json(u.value)) for u in w.terms], _num_json(w.weight)
+        rows, weight = rendered[key]
+        terms = [{"count": c, "degrees": [a, b], "value": v} for c, a, b, v in rows]
+        docs.append({"edge": [w.x, w.y], "terms": terms, "weight": weight})
+    return docs
 
 
 def _breakdown_json(breakdown) -> dict:
@@ -221,8 +214,11 @@ def _finish(variant: str, t: int, p: IndexParams, total: Number, breakdown) -> I
 
 # -- expansion index ----------------------------------------------------------
 
-def _power(d: int, p: IndexParams) -> Number:
-    return d ** p.int_alpha if p.exact else d ** p.alpha
+def _power_table(base: Graph, shifts, extra, p: IndexParams) -> dict[int, Number]:
+    """``k ** alpha`` for each ``k`` in ``extra`` and each lifted degree ``k = d + s``
+    of a vertex that has edges (an isolated vertex's 0 has no negative power)."""
+    a = p.int_alpha if p.exact else p.alpha
+    return {k: k ** a for k in {d + s for d in set(base.degrees().tolist()) - {0} for s in shifts}.union(extra)}
 
 
 def _edge_classes(base: Graph) -> tuple[list[tuple[int, int, int]], Counter]:
@@ -234,36 +230,36 @@ def _edge_classes(base: Graph) -> tuple[list[tuple[int, int, int]], Counter]:
     return keys, Counter(keys)
 
 
-def _class_sum(pairs, p: IndexParams) -> Number:
-    """Sum over ``(class weight, class size)`` pairs. Float mode gives ``fsum``
-    each weight once per member: the same values as a member-by-member sum,
-    so the same correctly rounded bits."""
+def _class_sum(weights, sizes, p: IndexParams) -> Number:
+    """Sum of class weights, each times its class size. Float mode gives
+    ``fsum`` each weight once per member: the same values as a member-by-member
+    sum, so the same correctly rounded bits."""
     if p.exact:
-        return sum(k * w for w, k in pairs)
-    return math.fsum(chain.from_iterable(repeat(w, k) for w, k in pairs))
+        return sum(k * w for w, k in zip(weights, sizes))
+    return math.fsum(chain.from_iterable(map(repeat, weights, sizes)))
 
 
-def _edge_group(base: Graph, keys, classes: Counter, lead: int, rep: int, shift: int, p: IndexParams,
-                include_breakdown: bool) -> tuple[Number, tuple[EdgeWeight, ...] | None]:
+def _edge_group(base: Graph, keys, classes: Counter, pw: dict[int, Number], lead: int, rep: int, shift: int,
+                p: IndexParams, include_breakdown: bool) -> tuple[Number, tuple[EdgeWeight, ...] | None]:
     """Total weight of one copy group of the base edges, each weighed by the
-    four degree classes at ``base degree + shift``; per-edge weights in
-    canonical order only when a breakdown is asked for."""
-    terms, weights = {}, {}
+    four degree classes at ``base degree + shift`` with powers from ``pw``;
+    per-edge weights in canonical order only when a breakdown is asked for."""
+    n, add = base.n, sum if p.exact else math.fsum
+    weights, terms = {}, {}
     for key in classes:
         dx, dy, tau = key
+        c00, c01, c10, c11 = counters = _counters(n, dx, dy, tau, lead, rep)
         a, b = dx + shift, dy + shift
-        pa, pb = (_power(a, p), _power(a + 1, p)), (_power(b, p), _power(b + 1, p))
-        counters = _counters(base.n, dx, dy, tau, lead, rep)
-        terms[key] = [(c, (a + i, b + j), c * (pa[i] * pb[j]))
-                      for (i, j), c in zip(((0, 0), (0, 1), (1, 0), (1, 1)), counters)]
-        values = [v for _, _, v in terms[key]]
-        weights[key] = sum(values) if p.exact else math.fsum(values)
-    total = _class_sum(((weights[key], k) for key, k in classes.items()), p)
+        pa0, pa1, pb0, pb1 = pw[a], pw[a + 1], pw[b], pw[b + 1]
+        values = (c00 * (pa0 * pb0), c01 * (pa0 * pb1), c10 * (pa1 * pb0), c11 * (pa1 * pb1))
+        weights[key] = add(values)
+        if include_breakdown:
+            terms[key] = tuple(map(EdgeTerm, counters, ((a, b), (a, b + 1), (a + 1, b), (a + 1, b + 1)), values))
+    total = _class_sum(weights.values(), classes.values(), p)
     if not include_breakdown:
         return total, None
-    edge_terms = {key: tuple(EdgeTerm(*term) for term in ts) for key, ts in terms.items()}
     edges = zip(base.iter_edges(), keys)
-    return total, tuple(EdgeWeight(x, y, edge_terms[key], weights[key]) for (x, y), key in edges)
+    return total, tuple(EdgeWeight(x, y, terms[key], weights[key]) for (x, y), key in edges)
 
 
 def sierpinski_randic(
@@ -286,8 +282,9 @@ def sierpinski_randic(
 
     n = base.n
     keys, classes = _edge_classes(base)
+    pw = _power_table(base, (0, 1), (), p)
     lead, rep = n ** (t - 2), repunit(n, t - 2)
-    total, weights = _edge_group(base, keys, classes, lead, rep, 0, p, include_breakdown)
+    total, weights = _edge_group(base, keys, classes, pw, lead, rep, 0, p, include_breakdown)
     breakdown = SierpinskiBreakdown(weights) if include_breakdown else None
     return _finish("S", t, p, total, breakdown)
 
@@ -319,22 +316,20 @@ def polymeric_randic(
     # the level-1 copy's degrees gain its hub and, below the top, the parent link
     lift = 1 if t == 1 else 2
     degree_classes = Counter(base.degrees()[1:].tolist())
+    shifts, hubs = ((1,), (n,)) if t == 1 else ((1, 2, 3), (n, n + 1))  # hubs: n at the root, n+1 below
+    pw = _power_table(base, shifts, hubs, p)
 
     def vsum(f) -> Number:
-        return _class_sum(((f(d), k) for d, k in degree_classes.items()), p)
+        return _class_sum(map(f, degree_classes), degree_classes.values(), p)
 
-    sum_p2 = vsum(lambda d: _power(d + lift, p))
-    hub_root = _power(n, p) * sum_p2
+    sum_p2 = vsum(lambda d: pw[d + lift])
+    hub_root = pw[n] * sum_p2
     keys, classes = _edge_classes(base)
-    first_copy = _class_sum(
-        ((_power(dx + lift, p) * _power(dy + lift, p), k) for (dx, dy, _), k in classes.items()), p
-    )
+    first_copy = _class_sum((pw[dx + lift] * pw[dy + lift] for dx, dy, _ in classes), classes.values(), p)
     if t == 1:
         return _finish("P", t, p, hub_root + first_copy, None)
 
-    psi1 = repunit(n, t - 1)
-    psi2 = repunit(n, t - 2)
-    lead = n ** (t - 2)
+    psi1, psi2, lead = repunit(n, t - 1), repunit(n, t - 2), n ** (t - 2)
     # level sums of hub/repunit prefactors, telescoped to exact integers:
     #   mid hubs   sum_{i=2..t-1} repunit(i-1), mid copies sum_{i=2..t-1} repunit(i-2),
     #   parent links sum_{i=1..t-1} repunit(i-1)
@@ -342,16 +337,15 @@ def polymeric_randic(
     s_mid_copy = _int_ratio(t - 2 - psi2, 1 - n)
     s_links = _int_ratio(t - 1 - psi1, 1 - n)
 
-    hub_deg_pow = _power(n + 1, p)
-    sum_d_p2 = vsum(lambda d: d * _power(d + 2, p))
-    sum_d_p3 = vsum(lambda d: d * _power(d + 3, p))
+    sum_d_p2 = vsum(lambda d: d * pw[d + 2])
+    sum_d_p3 = vsum(lambda d: d * pw[d + 3])
 
-    hub_mid = hub_deg_pow * ((n * psi2) * sum_p2 + s_mid_hub * (sum_d_p3 - sum_d_p2))
-    level_links = hub_deg_pow * (psi1 * sum_p2 + s_links * (sum_d_p3 - sum_d_p2))
-    hub_top = hub_deg_pow * (vsum(lambda d: _power(d + 1, p) * (n ** (t - 1) - d * psi1)) + psi1 * sum_d_p2)
+    hub_mid = pw[n + 1] * ((n * psi2) * sum_p2 + s_mid_hub * (sum_d_p3 - sum_d_p2))
+    level_links = pw[n + 1] * (psi1 * sum_p2 + s_links * (sum_d_p3 - sum_d_p2))
+    hub_top = pw[n + 1] * (vsum(lambda d: pw[d + 1] * (n ** (t - 1) - d * psi1)) + psi1 * sum_d_p2)
 
-    copies_mid, mid_edges = _edge_group(base, keys, classes, psi2, s_mid_copy, 2, p, include_breakdown)
-    copies_top, top_edges = _edge_group(base, keys, classes, lead, psi2, 1, p, include_breakdown)
+    copies_mid, mid_edges = _edge_group(base, keys, classes, pw, psi2, s_mid_copy, 2, p, include_breakdown)
+    copies_top, top_edges = _edge_group(base, keys, classes, pw, lead, psi2, 1, p, include_breakdown)
 
     parts = PolymericParts(hub_root, first_copy, hub_mid, copies_mid, level_links, hub_top, copies_top)
     breakdown = PolymericBreakdown(parts, mid_edges, top_edges) if include_breakdown else None

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, _simple_edge_keys, is_connected
 
 #: Hard default cap on explicit construction size (vertices).
 DEFAULT_VERTEX_BUDGET = 10_000_000
@@ -314,16 +314,16 @@ def census_vertex_classes(
     base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> list[VertexClassCounts]:
     """Empirical degree-class counts per base vertex over its ``n**(t-1)``
-    copies in the built expansion (copies share the final letter)."""
+    copies in the expansion's edge block (copies share the final letter)."""
     if t < 2:
         raise ValueError("census needs t >= 2")
-    g = sierpinski_graph(base, t, budget)
-    last = (np.arange(g.n, dtype=np.int64)) % base.n + 1
-    inc = g.degrees()[1:] - base.degrees()[last]
+    total = base.n ** t
+    _check_budget(total, budget)
+    block = _expansion_edge_block(base, t)
+    _simple_edge_keys(block, total)  # a simple graph, as sierpinski_graph would check
+    last = np.arange(total, dtype=np.int64) % base.n + 1
+    inc = np.bincount(block.ravel(), minlength=total) - base.degrees()[last]
     if not ((inc == 0) | (inc == 1)).all():
         raise ArithmeticError("copy degree outside {d, d+1}")
-    counts = np.bincount(last * 2 + inc, minlength=(base.n + 1) * 2)
-    return [
-        VertexClassCounts(x, int(counts[2 * x]), int(counts[2 * x + 1]))
-        for x in range(1, base.n + 1)
-    ]
+    counts = np.bincount(last * 2 + inc, minlength=(base.n + 1) * 2).reshape(-1, 2)
+    return [VertexClassCounts(x, *c) for x, c in enumerate(counts[1:].tolist(), 1)]

@@ -49,13 +49,9 @@ class Graph:
             raise GraphError("need a nonempty sequence of vertex pairs")
         if e.min() < 1 or e.max() > n:
             raise GraphError(f"vertex id out of range 1..{n}")
-        if (e[:, 0] == e[:, 1]).any():
-            raise GraphError("self-loops are not allowed")
 
+        key = _simple_edge_keys(e, n)
         n1 = np.int64(n + 1)
-        key = np.sort(np.minimum(e[:, 0], e[:, 1]) * n1 + np.maximum(e[:, 0], e[:, 1]))
-        if (key[1:] == key[:-1]).any():
-            raise GraphError("duplicate edges are not allowed")
         # sorted (lo, hi) keys are exactly lexicographic edge order
         lo, hi = np.divmod(key, n1)
         canon = np.column_stack((lo, hi))
@@ -107,6 +103,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _simple_edge_keys(e: np.ndarray, n: int) -> np.ndarray:
+    """Sorted keys ``min * (n+1) + max`` of the pairs ``e``; no self-loops, no duplicates."""
+    if (e[:, 0] == e[:, 1]).any():
+        raise GraphError("self-loops are not allowed")
+    key = np.sort(np.minimum(e[:, 0], e[:, 1]) * np.int64(n + 1) + np.maximum(e[:, 0], e[:, 1]))
+    if (key[1:] == key[:-1]).any():
+        raise GraphError("duplicate edges are not allowed")
+    return key
 
 
 def parse_edge_list(text: str) -> Graph:

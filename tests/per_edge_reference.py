@@ -3,7 +3,9 @@
 The closed forms: every base edge gets its own ``triangles_on_edge`` call,
 counters and four :class:`EdgeTerm` objects, and the totals are summed in
 canonical edge order. Level 1 of the polymeric expansion keeps its own
-vertex-by-vertex loop.
+vertex-by-vertex loop. Counters, powers and the integrality check are this
+module's own copies, and :func:`report_json` renders a report edge by edge,
+term by term, so the reference calls none of the code it checks.
 
 The oracle and edge-list I/O: a reader that checks one line at a time, a
 writer that formats one edge at a time, ``randic_index`` summed edge by edge,
@@ -17,6 +19,7 @@ bytes and errors.
 
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,10 +29,7 @@ from sierpindex.closedform import (
     PolymericBreakdown,
     PolymericParts,
     SierpinskiBreakdown,
-    _counters,
     _finish,
-    _int_ratio,
-    _power,
 )
 from sierpindex.construct import repunit
 from sierpindex.graphs import Graph, GraphError, ParseError, as_params, triangles_on_edge
@@ -167,6 +167,26 @@ def bipartite_semiregular(g):
 
 # -- the closed forms --------------------------------------------------------------
 
+def _power(d, p):
+    return d ** p.int_alpha if p.exact else d ** p.alpha
+
+
+def _int_ratio(num, den):
+    f = Fraction(num, den)
+    if f.denominator != 1:
+        raise ArithmeticError(f"prefactor {f} expected to be integral")
+    return int(f)
+
+
+def _counters(n, dx, dy, tau, lead, rep):
+    c00 = lead * (n - dx - dy + tau)
+    c01 = lead * (dy - tau) - rep * dx
+    c10 = lead * (dx - tau) - rep * dy
+    c11 = lead * (tau + 1) + rep * (dx + dy + 1)
+    if min(c00, c01, c10, c11) < 0:
+        raise ArithmeticError(f"negative degree-class counter for (dx, dy, tau) = {(dx, dy, tau)}")
+    return c00, c01, c10, c11
+
 
 def _edge_weight(x, y, dx, dy, counters, shift, p):
     terms = []
@@ -266,3 +286,38 @@ def polymeric_randic(base, t, params, include_breakdown=False):
         PolymericBreakdown(parts, tuple(mid_edges), tuple(top_edges)) if include_breakdown else None
     )
     return _finish("P", t, p, parts.total, breakdown)
+
+
+def _num_json(v):
+    return str(v) if isinstance(v, int) else v
+
+
+def _edge_weights_json(weights):
+    return [
+        {
+            "edge": [w.x, w.y],
+            "terms": [
+                {"count": str(term.count), "degrees": list(term.degrees), "value": _num_json(term.value)}
+                for term in w.terms
+            ],
+            "weight": _num_json(w.weight),
+        }
+        for w in weights
+    ]
+
+
+def report_json(report):
+    """``report.to_json_dict()``, rendering every edge and term on its own."""
+    doc = {"variant": report.variant, "t": report.t, "alpha": report.alpha, "value": report.value}
+    bd = report.breakdown
+    if isinstance(bd, SierpinskiBreakdown):
+        doc["breakdown"] = {"edge_weights": _edge_weights_json(bd.edge_weights)}
+    elif bd is not None:
+        doc["breakdown"] = {
+            "parts": {k: _num_json(v) for k, v in bd.parts.as_dict().items()},
+            "copies_mid_edges": _edge_weights_json(bd.copies_mid_edges),
+            "copies_top_edges": _edge_weights_json(bd.copies_top_edges),
+        }
+    if report.exact is not None:
+        doc["exact"] = str(report.exact)
+    return doc

@@ -155,23 +155,27 @@ def test_breakdown_matches_per_edge_reference(base):
                     assert got.breakdown.copies_mid_edges == want.breakdown.copies_mid_edges
                     assert got.breakdown.copies_top_edges == want.breakdown.copies_top_edges
                 got_json = json.dumps(got.to_json_dict(), indent=2)
-                assert got_json == json.dumps(want.to_json_dict(), indent=2), (got.variant, t, params)
+                assert got_json == json.dumps(reference.report_json(want), indent=2), (got.variant, t, params)
 
 
 def test_compile_guards_survive_optimized_mode():
     # the counter sign, prefactor integrality and triangle divisibility checks
-    # must still raise when python -O strips asserts
+    # must still raise when python -O strips asserts; the sign check also through
+    # both closed forms, fed more triangles per edge than its degrees allow
     script = """
 import sys
 import numpy as np
 import sierpindex as sx
-from sierpindex import graphs
+from sierpindex import closedform, graphs
 from sierpindex.closedform import _counters, _int_ratio
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 graphs.edge_triangles = lambda g: np.array([1])
+closedform.edge_triangles = lambda g: np.full(g.m, g.n)
+k3 = sx.complete_graph(3)
 guarded = (lambda: _counters(3, 1, 1, 2, 1, 0), lambda: _int_ratio(1, 2),
-           lambda: sx.triangle_count(sx.complete_graph(2)))
+           lambda: sx.triangle_count(sx.complete_graph(2)),
+           lambda: sx.sierpinski_randic(k3, 2, -0.5), lambda: sx.polymeric_randic(k3, 2, -0.5))
 for call in guarded:
     try:
         call()

@@ -8,6 +8,7 @@ import pytest
 import networkx as nx
 
 import sierpindex as sx
+from sierpindex import construct
 from sierpindex.construct import VertexBudgetError
 
 from conftest import CORPUS_NAMES
@@ -166,6 +167,27 @@ for edges in ([(1, 9)], [(1, 2)]):  # a broken tail, a degree below base
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("bad_row, message", [(lambda b: (0, 0), "self-loop"), (lambda b: b[0], "duplicate")])
+def test_vertex_census_refuses_an_edge_block_that_is_not_simple(monkeypatch, bad_row, message):
+    # the census reads its degrees off the edge block, without a Graph, so it
+    # checks the block itself
+    real = construct._expansion_edge_block
+
+    def corrupted(base, t):
+        block = real(base, t)
+        block[-1] = bad_row(block)
+        return block
+
+    monkeypatch.setattr(construct, "_expansion_edge_block", corrupted)
+    with pytest.raises(sx.GraphError, match=message):
+        sx.census_vertex_classes(sx.complete_graph(3), 2)
+
+
+def test_vertex_census_budget_refusal():
+    with pytest.raises(VertexBudgetError):
+        sx.census_vertex_classes(sx.complete_graph(3), 30, budget=10 ** 6)
 
 
 def test_census_requires_depth():

@@ -1,5 +1,7 @@
 """Randomized invariants over arbitrary small graphs."""
 
+import copy
+import json
 import math
 from itertools import combinations
 
@@ -136,3 +138,52 @@ def test_polymeric_matches_per_edge_reference(g):
     for t in (1,) + DIFFERENTIAL_LEVELS:
         for params in DIFFERENTIAL_PARAMS:
             assert sx.polymeric_randic(g, t, params) == reference.polymeric_randic(g, t, params), (t, params)
+
+
+# The breakdown shares one set of terms per degree class; its objects and its
+# JSON must still equal the reference's, which builds and renders every edge.
+BREAKDOWN_LEVELS = (2, 3, 7)
+BREAKDOWN_PARAMS = (-0.5, 2.0, sx.IndexParams(1, exact=True))
+
+
+def _assert_breakdowns_match(closed, ref, g):
+    for t in BREAKDOWN_LEVELS:
+        for params in BREAKDOWN_PARAMS:
+            got = closed(g, t, params, include_breakdown=True)
+            want = ref(g, t, params, include_breakdown=True)
+            if got.variant == "S":
+                assert got.breakdown.edge_weights == want.breakdown.edge_weights, (t, params)
+            else:
+                assert got.breakdown.parts == want.breakdown.parts, (t, params)
+                assert got.breakdown.copies_mid_edges == want.breakdown.copies_mid_edges, (t, params)
+                assert got.breakdown.copies_top_edges == want.breakdown.copies_top_edges, (t, params)
+            got_json = json.dumps(got.to_json_dict(), indent=2)
+            assert got_json == json.dumps(reference.report_json(want), indent=2), (t, params)
+
+
+@given(small_graphs())
+@settings(max_examples=40, deadline=None)
+def test_sierpinski_breakdown_matches_per_edge_reference(g):
+    _assert_breakdowns_match(sx.sierpinski_randic, reference.sierpinski_randic, g)
+
+
+@given(connected_graphs())
+@settings(max_examples=40, deadline=None)
+def test_polymeric_breakdown_matches_per_edge_reference(g):
+    _assert_breakdowns_match(sx.polymeric_randic, reference.polymeric_randic, g)
+
+
+def test_breakdown_json_edges_own_their_containers():
+    # every edge of a cycle is in one degree class, so all share one set of terms
+    c5 = sx.cycle_graph(5)
+    cases = ((sx.sierpinski_randic(c5, 3, -0.5, include_breakdown=True), "edge_weights"),
+             (sx.polymeric_randic(c5, 3, sx.IndexParams(1, exact=True), include_breakdown=True), "copies_top_edges"))
+    for report, group in cases:
+        edges = report.to_json_dict()["breakdown"][group]
+        before = copy.deepcopy(edges)
+        first = edges[0]
+        first["terms"][0]["count"] = "mutated"
+        first["terms"][0]["degrees"].append(0)
+        first["terms"].append({})
+        first["edge"].append(0)
+        assert edges[1:] == before[1:]
