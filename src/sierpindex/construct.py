@@ -249,17 +249,15 @@ class VertexClassCounts:
         return self.c0 + self.c1
 
 
-def _decode_edge_origin(g: Graph, n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per expansion edge: the base letters ``(x, y)`` whose copies the two
-    endpoints are.
+def _decode_edge_origin(u: np.ndarray, v: np.ndarray, n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per expansion edge ``(u, v)`` (0-based ids): the base letters ``(x, y)``
+    whose copies the two endpoints are.
 
     An expansion edge always reads ``w a b...b`` / ``w b a...a`` for a base
     edge ``{a, b}``; each endpoint is a copy of its own last letter (the tail
     letter, or the differing letter itself when the edge sits at the last
     position). Decoding checks the constant-tail structure.
     """
-    u = g.edges[:, 0] - 1
-    v = g.edges[:, 1] - 1
     power = n ** np.arange(t + 1, dtype=np.int64)
     # tail length after the first differing letter: the words agree on their
     # prefixes of length t - j exactly when j > tail
@@ -275,18 +273,28 @@ def _decode_edge_origin(g: Graph, n: int, t: int) -> tuple[np.ndarray, np.ndarra
     return u % n + 1, v % n + 1
 
 
+def _census_block(base: Graph, t: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level-``t`` edge block (0-based) and vertex degrees, checked as in :func:`sierpinski_graph`."""
+    if t < 2:
+        raise ValueError("census needs t >= 2")
+    total = base.n ** t
+    _check_budget(total, budget)
+    block = _expansion_edge_block(base, t)
+    _simple_edge_keys(block, total)
+    return block, np.bincount(block.ravel(), minlength=total)
+
+
 def census_edge_classes(
     base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> list[EdgeClassCounts]:
-    """Empirical degree-class counts per base edge, from the built expansion.
+    """Empirical degree-class counts per base edge, from the expansion's edge block.
 
     Requires ``t >= 2``. Every expansion endpoint must sit at its base degree
     or one above it; anything else is an internal invariant failure.
     """
-    if t < 2:
-        raise ValueError("census needs t >= 2")
-    g = sierpinski_graph(base, t, budget)
-    x, y = _decode_edge_origin(g, base.n, t)
+    block, deg = _census_block(base, t, budget)
+    u, v = block.T
+    x, y = _decode_edge_origin(u, v, base.n, t)
     # orient every copy along its canonical (min, max) base edge, packed as min*(n+1)+max
     n1, swap = base.n + 1, x > y
     pair = np.where(swap, y, x) * n1 + np.where(swap, x, y)
@@ -294,20 +302,19 @@ def census_edge_classes(
     decoded = np.unique(pair)
     unknown = decoded[~np.isin(decoded, base_keys)]
     if unknown.size:
-        u, v = divmod(int(unknown[0]), n1)
-        raise ArithmeticError(f"decoded pair {{{u},{v}}} is not a base edge")
-    deg = g.degrees()
+        a, b = divmod(int(unknown[0]), n1)
+        raise ArithmeticError(f"decoded pair {{{a},{b}}} is not a base edge")
     base_deg = base.degrees()
-    inc_x = deg[g.edges[:, 0]] - base_deg[x]
-    inc_y = deg[g.edges[:, 1]] - base_deg[y]
+    inc_x = deg[u] - base_deg[x]
+    inc_y = deg[v] - base_deg[y]
     if not (((inc_x == 0) | (inc_x == 1)) & ((inc_y == 0) | (inc_y == 1))).all():
         raise ArithmeticError("endpoint degree outside {d, d+1}")
 
     code = (pair << 2) | (np.where(swap, inc_y, inc_x) << 1) | np.where(swap, inc_x, inc_y)
     counts = np.bincount(code, minlength=n1 ** 2 << 2).reshape(-1, 4)[base_keys]
-    if counts.sum() != g.m:
+    if counts.sum() != block.shape[0]:
         raise ArithmeticError("census does not cover every expansion edge")
-    return [EdgeClassCounts(u, v, *c) for (u, v), c in zip(base.iter_edges(), counts.tolist())]
+    return [EdgeClassCounts(a, b, *c) for (a, b), c in zip(base.iter_edges(), counts.tolist())]
 
 
 def census_vertex_classes(
@@ -315,14 +322,9 @@ def census_vertex_classes(
 ) -> list[VertexClassCounts]:
     """Empirical degree-class counts per base vertex over its ``n**(t-1)``
     copies in the expansion's edge block (copies share the final letter)."""
-    if t < 2:
-        raise ValueError("census needs t >= 2")
-    total = base.n ** t
-    _check_budget(total, budget)
-    block = _expansion_edge_block(base, t)
-    _simple_edge_keys(block, total)  # a simple graph, as sierpinski_graph would check
-    last = np.arange(total, dtype=np.int64) % base.n + 1
-    inc = np.bincount(block.ravel(), minlength=total) - base.degrees()[last]
+    _, deg = _census_block(base, t, budget)
+    last = np.arange(deg.size, dtype=np.int64) % base.n + 1
+    inc = deg - base.degrees()[last]
     if not ((inc == 0) | (inc == 1)).all():
         raise ArithmeticError("copy degree outside {d, d+1}")
     counts = np.bincount(last * 2 + inc, minlength=(base.n + 1) * 2).reshape(-1, 2)

@@ -10,6 +10,8 @@ across threads.
 from __future__ import annotations
 
 import math
+import re
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Sequence
@@ -78,18 +80,24 @@ class Graph:
         """Canonical edges as plain Python int pairs."""
         return (tuple(edge) for edge in self._edges.tolist())
 
+    def _check_vertex(self, v: int) -> None:
+        if not 1 <= v <= self.n:
+            raise GraphError(f"vertex id {v} out of range 1..{self.n}")
+
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of ``v`` (read-only view)."""
+        self._check_vertex(v)
         return self._indices[self._indptr[v]:self._indptr[v + 1]]
 
     def degree(self, v: int) -> int:
-        return int(self._indptr[v + 1] - self._indptr[v])
+        return int(self.neighbors(v).size)
 
     def degrees(self) -> np.ndarray:
         """Degree table indexed by vertex id (entry 0 is unused and zero)."""
         return self._indptr[1:] - self._indptr[:-1]
 
     def has_edge(self, u: int, v: int) -> bool:
+        self._check_vertex(v)
         nb = self.neighbors(u)
         i = np.searchsorted(nb, v)
         return i < nb.size and nb[i] == v
@@ -123,6 +131,15 @@ def parse_edge_list(text: str) -> Graph:
     ``u != v``, whitespace separated. Errors report the first offending line
     in file order.
     """
+    # A document exactly as render_edge_list writes it (18 digits fit int64) is
+    # converted in one call, and Graph checks range, self-loops and duplicates.
+    # Any other document, or a failed check, goes to the line reader below: it
+    # alone takes int()'s ids (+2, 1_0, ...) and comments, and names the bad line.
+    if doc := re.fullmatch(r"p ([0-9]{1,18}) ([0-9]{1,18})\n((?:[0-9]{1,18} [0-9]{1,18}\n)+)", text):
+        uv = np.fromstring(doc[3], dtype=np.int64, sep=" ").reshape(-1, 2)
+        if uv.shape[0] == int(doc[2]):
+            with suppress(GraphError):
+                return Graph(int(doc[1]), uv)
     lines = text.splitlines()
     tokens = list(map(str.split, lines))
     ntok = np.fromiter(map(len, tokens), np.int64, len(tokens))

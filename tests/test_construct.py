@@ -148,13 +148,14 @@ def test_census_guards_survive_optimized_mode():
     # python -O strips asserts
     script = """
 import sys
+import numpy as np
 import sierpindex as sx
 from sierpindex import construct
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 base = sx.complete_graph(3)
-for edges in ([(1, 9)], [(1, 2)]):  # a broken tail, a degree below base
-    construct.sierpinski_graph = lambda b, t, budget, edges=edges: sx.Graph(b.n ** t, edges)
+for edges in ([(0, 8)], [(0, 1)]):  # 0-based rows: a broken tail, a degree below base
+    construct._expansion_edge_block = lambda b, t, edges=edges: np.array(edges, dtype=np.int64)
     try:
         construct.census_edge_classes(base, 2)
     except ArithmeticError:

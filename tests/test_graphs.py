@@ -76,6 +76,42 @@ def test_graph_arrays_are_read_only():
         g.neighbors(1)[0] = 5
 
 
+# ids outside 1..n must be refused, not wrapped round (-1 is vertex n) or read
+# past the end of the offsets
+OUTSIDE = [-2, -1, 0, 5, 6]
+
+
+@pytest.mark.parametrize("v", OUTSIDE)
+def test_neighbors_refuses_ids_outside_the_graph(v):
+    with pytest.raises(GraphError, match=rf"vertex id {v} out of range 1\.\.4"):
+        sx.complete_graph(4).neighbors(v)
+
+
+@pytest.mark.parametrize("v", OUTSIDE)
+def test_degree_refuses_ids_outside_the_graph(v):
+    with pytest.raises(GraphError, match=rf"vertex id {v} out of range 1\.\.4"):
+        sx.complete_graph(4).degree(v)
+
+
+@pytest.mark.parametrize("v", OUTSIDE)
+def test_has_edge_refuses_ids_outside_the_graph(v):
+    g = sx.complete_graph(4)
+    for u, w in ((v, 1), (1, v)):
+        with pytest.raises(GraphError, match=rf"vertex id {v} out of range 1\.\.4"):
+            g.has_edge(u, w)
+
+
+@pytest.mark.parametrize("v", OUTSIDE)
+def test_triangles_on_edge_refuses_ids_outside_the_graph(v):
+    # GraphError is a ValueError, as triangles_on_edge documents
+    g = sx.complete_graph(4)
+    for u, w in ((v, 1), (1, v)):
+        with pytest.raises(ValueError, match="out of range"):
+            sx.triangles_on_edge(g, u, w)
+    # the end ids 1 and n are still vertices
+    assert sx.triangles_on_edge(g, 1, 4) == 2 and g.degree(4) == 3 and g.has_edge(4, 1)
+
+
 # -- families ------------------------------------------------------------------
 
 def test_generate_family_dispatch():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import sierpindex as sx
 
 import per_edge_reference as reference
-from conftest import CORPUS_NAMES
+from conftest import CORPUS_NAMES, build_corpus
 from test_properties import small_graphs
 
 
@@ -108,6 +108,69 @@ def test_parse_matches_line_reader(text):
 )
 def test_parse_matches_line_reader_examples(text):
     assert outcome(sx.parse_edge_list, text) == outcome(reference.parse_edge_list, text)
+
+
+# -- the bulk path for canonical documents ------------------------------------------
+
+#: the corpus bases and their S (t = 2, 3) and P (t = 2) expansions, by base name
+CORPUS_FAMILIES = {
+    name: [base, sx.sierpinski_graph(base, 2), sx.sierpinski_graph(base, 3), sx.polymeric_graph(base, 2)]
+    for name, base in build_corpus().items()
+}
+
+EDITS = (
+    "none", "duplicate", "self-loop", "range", "19 digits", "leading zero",
+    "no final newline", "drop", "add", "m off by one", "tab",
+)
+
+
+@st.composite
+def edited_canonical_texts(draw):
+    """A document as render_edge_list writes it, with at most one edit: the
+    result may stay canonical and valid, stay canonical and break a check the
+    bulk path must make, or leave the canonical shape."""
+    g = draw(st.one_of(small_graphs(), st.sampled_from(sum(CORPUS_FAMILIES.values(), []))))
+    lines = sx.render_edge_list(g).splitlines()
+    i = draw(st.integers(1, g.m))
+    u, v = lines[i].split()
+    edit = draw(st.sampled_from(EDITS))
+    if edit == "duplicate":
+        lines.insert(draw(st.integers(1, len(lines))), lines[i])
+    elif edit == "self-loop":
+        lines[i] = f"{u} {u}"
+    elif edit == "range":
+        bad = draw(st.sampled_from([0, g.n + 1]))
+        lines[i] = draw(st.sampled_from([f"{bad} {v}", f"{u} {bad}"]))
+    elif edit == "19 digits":  # the same id zero-padded, or one out of range
+        lines[i] = f"{u} {draw(st.sampled_from([v.zfill(19), str(10 ** 18 + int(v))]))}"
+    elif edit == "leading zero":
+        lines[i] = f"{draw(st.sampled_from(['0' + u, u.zfill(18)]))} {v}"
+    elif edit == "drop":
+        del lines[i]
+    elif edit == "add":
+        lines.insert(draw(st.integers(1, len(lines))), f"{draw(st.integers(1, g.n))} {draw(st.integers(1, g.n))}")
+    elif edit == "m off by one":
+        lines[0] = f"p {g.n} {g.m + draw(st.sampled_from([-1, 1]))}"
+    elif edit == "tab":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[j] = lines[j].replace(" ", "\t", 1)
+    text = "\n".join(lines) + "\n"
+    return text[:-1] if edit == "no final newline" else text
+
+
+@given(edited_canonical_texts())
+@settings(max_examples=600, deadline=None)
+def test_bulk_path_matches_line_reader(text):
+    assert outcome(sx.parse_edge_list, text) == outcome(reference.parse_edge_list, text)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_comment_line_leaves_the_graph_unchanged(name):
+    # a leading comment sends the same document to the line reader
+    for g in CORPUS_FAMILIES[name]:
+        text = sx.render_edge_list(g)
+        assert sx.parse_edge_list(text) == g
+        assert sx.parse_edge_list("# c\n" + text) == g
 
 
 # -- the oracle on built graphs ----------------------------------------------------
