@@ -73,8 +73,6 @@ def vertex_class_counts(base: Graph, x: int, t: int) -> VertexClassCounts:
     by kept degree (``c0``) vs degree + 1 (``c1``)."""
     if t < 2:
         raise ValueError("degree-class counters need t >= 2")
-    if not 1 <= x <= base.n:
-        raise ValueError(f"vertex {x} out of range")
     bumped = base.degree(x) * repunit(base.n, t - 1)
     return VertexClassCounts(x, base.n ** (t - 1) - bumped, bumped)
 
@@ -342,7 +340,8 @@ def polymeric_randic(
 
     hub_mid = pw[n + 1] * ((n * psi2) * sum_p2 + s_mid_hub * (sum_d_p3 - sum_d_p2))
     level_links = pw[n + 1] * (psi1 * sum_p2 + s_links * (sum_d_p3 - sum_d_p2))
-    hub_top = pw[n + 1] * (vsum(lambda d: pw[d + 1] * (n ** (t - 1) - d * psi1)) + psi1 * sum_d_p2)
+    top = n ** (t - 1)
+    hub_top = pw[n + 1] * (vsum(lambda d: pw[d + 1] * (top - d * psi1)) + psi1 * sum_d_p2)
 
     copies_mid, mid_edges = _edge_group(base, keys, classes, pw, psi2, s_mid_copy, 2, p, include_breakdown)
     copies_top, top_edges = _edge_group(base, keys, classes, pw, lead, psi2, 1, p, include_breakdown)

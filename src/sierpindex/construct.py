@@ -141,17 +141,9 @@ class PolymericLayout:
         """Hub ``j`` (1-based, ``j <= n**(i-1)``) of level ``i``."""
         return self.level_offset(i) + j
 
-    def word_vertex_id(self, i: int, k: int) -> int:
-        """Word vertex ``k`` (1-based word index, ``k <= n**i``) of level ``i``."""
-        return self.level_offset(i) + self.n ** (i - 1) + k
-
     def hub_ids(self, i: int) -> range:
         start = self.level_offset(i)
         return range(start + 1, start + self.n ** (i - 1) + 1)
-
-    def word_vertex_ids(self, i: int) -> range:
-        start = self.level_offset(i) + self.n ** (i - 1)
-        return range(start + 1, start + self.n ** i + 1)
 
     @property
     def total_vertices(self) -> int:

@@ -13,7 +13,7 @@ import math
 import re
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -133,80 +133,52 @@ def parse_edge_list(text: str) -> Graph:
     """
     # A document exactly as render_edge_list writes it (18 digits fit int64) is
     # converted in one call, and Graph checks range, self-loops and duplicates.
-    # Any other document, or a failed check, goes to the line reader below: it
-    # alone takes int()'s ids (+2, 1_0, ...) and comments, and names the bad line.
+    # Any other document, or a failed check, goes to the loop below: it alone
+    # takes int()'s ids (+2, 1_0, ...) and comments, and names the bad line.
     if doc := re.fullmatch(r"p ([0-9]{1,18}) ([0-9]{1,18})\n((?:[0-9]{1,18} [0-9]{1,18}\n)+)", text):
         uv = np.fromstring(doc[3], dtype=np.int64, sep=" ").reshape(-1, 2)
         if uv.shape[0] == int(doc[2]):
             with suppress(GraphError):
                 return Graph(int(doc[1]), uv)
-    lines = text.splitlines()
-    tokens = list(map(str.split, lines))
-    ntok = np.fromiter(map(len, tokens), np.int64, len(tokens))
-    comment = np.zeros(len(lines), dtype=bool)
-    if "#" in text:
-        comment[:] = np.fromiter(map(str.startswith, map(str.lstrip, lines), repeat("#")), bool, len(lines))
-    content = np.flatnonzero((ntok > 0) & ~comment)
-    if not content.size:
+    n = m = None
+    edges: dict[tuple[int, int], None] = {}  # a set that keeps file order, which Graph converts fastest
+    for line_no, line in enumerate(text.splitlines(), 1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if n is None:
+            if len(parts) != 3 or parts[0] != "p":
+                raise ParseError("expected header 'p <n> <m>'", line_no)
+            try:
+                n, m = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError("header counts must be integers", line_no) from None
+            if n < 2:
+                raise ParseError("need at least 2 vertices", line_no)
+            if m < 1:
+                raise ParseError("need at least 1 edge", line_no)
+            continue
+        if len(edges) == m:
+            raise ParseError(f"edge count mismatch: header says m={m}", line_no)
+        if len(parts) != 2:
+            raise ParseError("expected an edge line '<u> <v>'", line_no)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("vertex ids must be integers", line_no) from None
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"vertex id out of range 1..{n}", line_no)
+        if u == v:
+            raise ParseError("self-loop", line_no)
+        edge = (u, v) if u < v else (v, u)
+        if edge in edges:
+            raise ParseError(f"duplicate edge {{{edge[0]},{edge[1]}}}", line_no)
+        edges[edge] = None
+    if n is None:
         raise ParseError("missing header 'p <n> <m>'")
-    head, body = int(content[0]) + 1, content[1:]
-    parts = tokens[head - 1]
-    if len(parts) != 3 or parts[0] != "p":
-        raise ParseError("expected header 'p <n> <m>'", head)
-    try:
-        n, m = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError("header counts must be integers", head) from None
-    if n < 2:
-        raise ParseError("need at least 2 vertices", head)
-    if m < 1:
-        raise ParseError("need at least 1 edge", head)
-
-    # Each check looks only at the edge lines before the first problem found
-    # so far, in the order a line-by-line reader would meet them.
-    stop, problem = body.size, None
-
-    def first(bad: np.ndarray) -> int | None:
-        return int(bad.argmax()) if bad[:stop].any() else None
-
-    if body.size > m:
-        stop, problem = m, f"edge count mismatch: header says m={m}"
-    if (k := first(ntok[body[:stop]] != 2)) is not None:
-        stop, problem = k, "expected an edge line '<u> <v>'"
-    edge_lines = np.zeros(len(lines), dtype=bool)
-    edge_lines[body[:stop]] = True
-    ids: list[int] = []
-    try:
-        ids.extend(map(int, chain.from_iterable(compress(tokens, edge_lines.tolist()))))
-    except ValueError:  # extend keeps the ids before the first token int() rejects
-        stop, problem = len(ids) // 2, "vertex ids must be integers"
-    del ids[2 * stop:]
-    try:
-        uv = np.array(ids, dtype=np.int64)
-    except OverflowError:
-        # an id past int64: the checks need only its range and equality, and
-        # if it is in range, n is past int64 too and Graph refuses n itself
-        uv = np.array(ids, dtype=object)
-    in_range = (uv >= 1) & (uv <= n)
-    if uv.dtype == object:
-        uv = np.unique(uv, return_inverse=True)[1] + 1
-    uv = uv.reshape(-1, 2)
-    if (k := first(~(in_range[0::2] & in_range[1::2]))) is not None:
-        stop, problem = k, f"vertex id out of range 1..{n}"
-    if (k := first(uv[:, 0] == uv[:, 1])) is not None:
-        stop, problem = k, "self-loop"
-    lo, hi = np.minimum(uv[:stop, 0], uv[:stop, 1]), np.maximum(uv[:stop, 0], uv[:stop, 1])
-    order = np.lexsort((hi, lo))  # stable: equal pairs keep file order
-    repeat_of_previous = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
-    if repeat_of_previous.any():
-        stop = int(order[1:][repeat_of_previous].min())
-        u, v = sorted(ids[2 * stop:2 * stop + 2])
-        problem = f"duplicate edge {{{u},{v}}}"
-    if problem is not None:
-        raise ParseError(problem, int(body[stop]) + 1)
-    if body.size != m:
-        raise ParseError(f"edge count mismatch: header says m={m}, found {body.size}")
-    return Graph(n, uv)
+    if len(edges) != m:
+        raise ParseError(f"edge count mismatch: header says m={m}, found {len(edges)}")
+    return Graph(n, edges)
 
 
 def render_edge_list(g: Graph) -> str:

@@ -13,6 +13,7 @@ import math
 
 from .closedform import PolymericParts, _int_ratio
 from .construct import repunit
+from .graphs import IndexParams
 
 #: Formula variants seen in print that do not survive the construction-oracle
 #: audit. Keys name the corrected public function; values identify the exact
@@ -40,7 +41,11 @@ def sierpinski_regular(n: int, degree: int, triangles: int, t: int, alpha: float
     """Index of the level-``t`` expansion of a ``degree``-regular base with
     ``triangles`` triangles (corrected mixed-class coefficient, see
     :data:`DISPUTED_PRINTS`)."""
-    _check_regular(n, degree, t, alpha)
+    _check_regular(n, degree)
+    _check_triangles(n, degree, triangles)
+    if t < 2:
+        raise ValueError("t must be >= 2")
+    IndexParams(alpha)
     d = degree
     psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
     lead = n ** (t - 2)
@@ -60,7 +65,7 @@ def sierpinski_complete(n: int, t: int, alpha: float) -> float:
     """Complete base on ``n`` vertices, ``n >= 2``."""
     if n < 2 or t < 2:
         raise ValueError("complete-base formula needs n >= 2 and t >= 2")
-    _check_alpha(alpha)
+    IndexParams(alpha)
     return n ** (alpha + 1) * (n - 1) ** (alpha + 1) + (
         n ** (2 * alpha + t + 1) - 2 * n ** (2 * alpha + 2) + n ** (2 * alpha + 1)
     ) / 2
@@ -72,7 +77,7 @@ def sierpinski_cycle(n: int, t: int, alpha: float) -> float:
         raise ValueError("cycle formula needs n >= 4; a 3-cycle is a complete base")
     if t < 2:
         raise ValueError("t must be >= 2")
-    _check_alpha(alpha)
+    IndexParams(alpha)
     psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
     return math.fsum(
         (
@@ -85,11 +90,10 @@ def sierpinski_cycle(n: int, t: int, alpha: float) -> float:
 
 def sierpinski_semiregular(n1: int, n2: int, d1: int, d2: int, t: int, alpha: float) -> float:
     """Bipartite base with uniform part degrees ``d1`` / ``d2``."""
-    if min(n1, n2, d1, d2) < 1 or d1 > n2 or d2 > n1 or n1 * d1 != n2 * d2:
-        raise ValueError("not a valid bipartite semiregular degree profile")
+    _check_semiregular(n1, n2, d1, d2)
     if t < 2:
         raise ValueError("t must be >= 2")
-    _check_alpha(alpha)
+    IndexParams(alpha)
     n = n1 + n2
     lead, psi2 = n ** (t - 2), repunit(n, t - 2)
     return math.fsum(
@@ -108,7 +112,7 @@ def sierpinski_star(r: int, t: int, alpha: float) -> float:
         raise ValueError("star formula needs r >= 2")
     if t < 2:
         raise ValueError("t must be >= 2")
-    _check_alpha(alpha)
+    IndexParams(alpha)
     return math.fsum(
         (
             (r + 1) ** alpha * ((r + 1) ** (t - 1) * (r - 1) + 1),
@@ -122,7 +126,7 @@ def sierpinski_path(n: int, t: int, alpha: float) -> float:
     """Path base on ``n >= 2`` vertices (two-term form for ``n = 2``)."""
     if n < 2 or t < 2:
         raise ValueError("path formula needs n >= 2 and t >= 2")
-    _check_alpha(alpha)
+    IndexParams(alpha)
     if n == 2:
         return 2 ** (alpha + 1) + (2 ** t - 3) * 2 ** (2 * alpha)
     lead, psi2 = n ** (t - 2), repunit(n, t - 2)
@@ -141,7 +145,8 @@ def sierpinski_path(n: int, t: int, alpha: float) -> float:
 
 def polymeric_level1_regular(n: int, degree: int, alpha: float) -> float:
     """Level-1 polymeric index for a ``degree``-regular base."""
-    _check_regular(n, degree, 1, alpha)
+    _check_regular(n, degree)
+    IndexParams(alpha)
     d = degree
     return n ** (alpha + 1) * (d + 1) ** alpha + n * d * (d + 1) ** (2 * alpha) / 2
 
@@ -149,14 +154,13 @@ def polymeric_level1_regular(n: int, degree: int, alpha: float) -> float:
 def polymeric_level1_complete(n: int, alpha: float) -> float:
     if n < 2:
         raise ValueError("complete base needs n >= 2")
-    _check_alpha(alpha)
+    IndexParams(alpha)
     return n ** (2 * alpha + 1) * (n + 1) / 2
 
 
 def polymeric_level1_semiregular(n1: int, n2: int, d1: int, d2: int, alpha: float) -> float:
-    if min(n1, n2, d1, d2) < 1 or d1 > n2 or d2 > n1 or n1 * d1 != n2 * d2:
-        raise ValueError("not a valid bipartite semiregular degree profile")
-    _check_alpha(alpha)
+    _check_semiregular(n1, n2, d1, d2)
+    IndexParams(alpha)
     n = n1 + n2
     return n ** alpha * (n1 * (d1 + 1) ** alpha + n2 * (d2 + 1) ** alpha) + n1 * d1 * (
         (d1 + 1) * (d2 + 1)
@@ -165,9 +169,11 @@ def polymeric_level1_semiregular(n1: int, n2: int, d1: int, d2: int, alpha: floa
 
 def polymeric_regular(n: int, degree: int, triangles: int, t: int, alpha: float) -> PolymericParts:
     """Seven-part polymeric index for a ``degree``-regular base, ``t >= 2``."""
-    _check_regular(n, degree, t, alpha)
+    _check_regular(n, degree)
+    _check_triangles(n, degree, triangles)
     if t < 2:
         raise ValueError("the seven-part form needs t >= 2; use the level-1 formula")
+    IndexParams(alpha)
     d, tau = degree, triangles
     psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
     lead = n ** (t - 2)
@@ -206,7 +212,7 @@ def polymeric_complete(n: int, t: int, alpha: float) -> PolymericParts:
         raise ValueError("complete base needs n >= 2")
     if t < 2:
         raise ValueError("the seven-part form needs t >= 2; use the level-1 formula")
-    _check_alpha(alpha)
+    IndexParams(alpha)
     psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
     q1, q2 = (n + 1) ** alpha, (n + 1) ** (2 * alpha)
     r1 = (n + 2) ** alpha
@@ -264,16 +270,17 @@ def polymeric_specialized(family: str, params: tuple, t: int, alpha: float) -> f
     return fn(*params, alpha) if t == 1 else fn(*params, t, alpha)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-
-
-def _check_regular(n: int, degree: int, t: int, alpha: float) -> None:
+def _check_regular(n: int, degree: int) -> None:
     if n < 2 or not 1 <= degree <= n - 1 or (n * degree) % 2:
         raise ValueError("not a valid regular degree profile")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    _check_alpha(alpha)
+
+
+def _check_triangles(n: int, degree: int, triangles: int) -> None:
+    # an edge's triangles (common neighbours) lie in [2d - n, d - 1], so no class count is < 0
+    if not max(0, n * degree * (2 * degree - n)) <= 6 * triangles <= n * degree * (degree - 1):
+        raise ValueError(f"{triangles} triangles is impossible for a {degree}-regular base on {n} vertices")
+
+
+def _check_semiregular(n1: int, n2: int, d1: int, d2: int) -> None:
+    if min(n1, n2, d1, d2) < 1 or d1 > n2 or d2 > n1 or n1 * d1 != n2 * d2:
+        raise ValueError("not a valid bipartite semiregular degree profile")

@@ -56,6 +56,13 @@ def test_vertex_counts_examples():
     assert (c.c0, c.c1) == (1, 3)
 
 
+@pytest.mark.parametrize("x", [0, 4])
+def test_vertex_counts_refuse_ids_outside_the_base(x):
+    # Graph.degree's GraphError is a ValueError and names the id and the range
+    with pytest.raises(ValueError, match=rf"vertex id {x} out of range 1\.\.3"):
+        sx.vertex_class_counts(sx.complete_graph(3), x, 2)
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_closed_counters_match_census(corpus, name, t):

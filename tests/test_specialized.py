@@ -45,6 +45,22 @@ def test_regular_formula_matches_general_evaluator(key, t):
                          sx.sierpinski_randic(g, t, alpha).value), (key, t, alpha)
 
 
+@pytest.mark.parametrize("key", sorted(REGULAR))
+def test_regular_formulas_refuse_impossible_triangle_counts(key):
+    # 6 * triangles <= n * d * (d - 1): no edge has more than d - 1 common neighbours
+    n, d, _, _ = REGULAR[key]
+    for tau in (-1, n * d * (d - 1) // 6 + 1):
+        with pytest.raises(ValueError, match=f"{tau} triangles is impossible"):
+            sx.sierpinski_regular(n, d, tau, 2, -0.5)
+        with pytest.raises(ValueError, match=f"{tau} triangles is impossible"):
+            sx.polymeric_regular(n, d, tau, 2, -0.5)
+
+
+def test_sierpinski_regular_names_its_level_bound():
+    with pytest.raises(ValueError, match="t must be >= 2"):
+        sx.sierpinski_regular(4, 2, 0, 1, -0.5)
+
+
 def test_regular_disputed_print_diverges():
     # the recorded witness: mixed-copy coefficient 10 instead of 6
     n, d, tau, build = REGULAR["K3"]
