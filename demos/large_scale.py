@@ -3,7 +3,8 @@
 
 The expansion of a 5-vertex base at level 100 has 5**100 vertices; nothing
 builds that. The closed forms answer in microseconds, and in exact mode they
-return the full integer even when it no longer fits in a double.
+return the full integer even when it no longer fits in a double. A base
+compiled once answers any level with one power of n and one division.
 """
 
 import time
@@ -27,18 +28,22 @@ digits = str(report.exact)
 print(f"\nexact alpha=1 value at level 100 ({micros:.0f} us, {len(digits)} digits):")
 print(f"  {digits[:30]}...{digits[-10:]}")
 
-# Closed-form cost grows (at most) linearly with the level: the counters are
-# big integers whose length grows like t digits, nothing more.
-# Float mode works while the value itself fits in a double (it grows like
-# n**t, so that caps out near level 440 here); exact mode has no ceiling.
-print("\nlevel   closed-form time   mode")
-for t, params in ((10, sx.IndexParams(-0.5)), (100, sx.IndexParams(-0.5)),
-                  (100, sx.IndexParams(1, exact=True)), (1000, sx.IndexParams(1, exact=True))):
+# One compiled form answers every level: the base is compiled once per exponent,
+# then each level costs one power of n and one division on integers about t
+# digits long. Float mode works while the value itself fits in a double (it
+# grows like n**t, so that caps out near level 440 here); exact mode has no
+# ceiling.
+print("\nmode                   compile   level   per-level time")
+for params, levels in ((sx.IndexParams(-0.5), (10, 100, 400)), (sx.IndexParams(1, exact=True), (10, 100, 1000))):
     start = time.perf_counter_ns()
-    sx.sierpinski_randic(k5, t, params)
-    micros = (time.perf_counter_ns() - start) / 1e3
+    form = sx.compile_index(k5, params, "S")
+    compile_micros = (time.perf_counter_ns() - start) / 1e3
     mode = "exact" if params.exact else f"float (alpha={params.alpha})"
-    print(f"{t:>5}   {micros:>12.1f} us   {mode}")
+    for t in levels:
+        start = time.perf_counter_ns()
+        form.at(t)
+        micros = (time.perf_counter_ns() - start) / 1e3
+        print(f"{mode:<20} {compile_micros:>7.1f} us {t:>7}   {micros:>10.1f} us")
 
 # Small instances stay honest: at a size we *can* build, both roads agree.
 built = sx.sierpinski_graph(k5, 3)

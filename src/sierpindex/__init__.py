@@ -47,9 +47,11 @@ from .construct import (
 )
 from .closedform import (
     IndexReport,
+    LevelForm,
     PolymericBreakdown,
     PolymericParts,
     SierpinskiBreakdown,
+    compile_index,
     edge_class_counts,
     polymeric_randic,
     sierpinski_randic,

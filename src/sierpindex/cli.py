@@ -27,7 +27,6 @@ _ENV_BUDGET = "SIERPINDEX_VERTEX_BUDGET"
 
 
 class _Variant(NamedTuple):
-    closed: Callable  # (base, t, params, include_breakdown) -> IndexReport
     build: Callable  # (base, t, budget) -> Graph
     labels: Callable  # (base, t) -> one label per vertex id
     size: Callable  # (base, t) -> (vertices, edges) of the expansion
@@ -39,10 +38,9 @@ def _polymeric_size(base: graphs.Graph, t: int) -> tuple[int, int]:
 
 
 _VARIANTS = {
-    "S": _Variant(closedform.sierpinski_randic, construct.sierpinski_graph, construct.vertex_labels,
+    "S": _Variant(construct.sierpinski_graph, construct.vertex_labels,
                   lambda base, t: (base.n ** t, base.m * construct.repunit(base.n, t))),
-    "P": _Variant(closedform.polymeric_randic, construct.polymeric_graph,
-                  construct.polymeric_vertex_labels, _polymeric_size),
+    "P": _Variant(construct.polymeric_graph, construct.polymeric_vertex_labels, _polymeric_size),
 }
 
 
@@ -107,7 +105,7 @@ def _cmd_expand(args) -> int:
 def _cmd_closed(args) -> int:
     base = _load_graph(args.graph)
     params = graphs.IndexParams(args.alpha, exact=args.exact)
-    report = _VARIANTS[args.variant].closed(base, args.t, params, include_breakdown=args.breakdown)
+    report = closedform.compile_index(base, params, args.variant).at(args.t, args.breakdown)
     _write_out(_json_text(report.to_json_dict()), args.out)
     return 0
 
@@ -138,10 +136,12 @@ def _cmd_verify(args) -> int:
     for path in args.graphs:
         base = _load_graph(path)
         for variant in variants:
+            forms = None  # one compile per alpha, after the first build has passed the budget
             for t in ts:
                 built = _VARIANTS[variant].build(base, t, budget)
+                forms = forms or {alpha: closedform.compile_index(base, alpha, variant) for alpha in alphas}
                 for alpha in alphas:
-                    closed = _VARIANTS[variant].closed(base, t, alpha).value
+                    closed = forms[alpha].at(t).value
                     oracle = graphs.randic_index(built, alpha)
                     abs_err = abs(closed - oracle)
                     ok = abs_err <= max(tol * abs(oracle), 1e-12)
@@ -186,8 +186,8 @@ def _cmd_bench(args) -> int:
     ts = _parse_t_range(args.t)
     lines = ["variant,t,closed_ns,construct_ns,vertices,edges"]
     for t in ts:
-        start = time.perf_counter_ns()
-        variant.closed(base, t, args.alpha)
+        start = time.perf_counter_ns()  # a whole per-call closed form: compile and evaluate
+        closedform.compile_index(base, args.alpha, args.variant).at(t)
         closed_ns = time.perf_counter_ns() - start
         vertices, edges = variant.size(base, t)
         if vertices <= budget:

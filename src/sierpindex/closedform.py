@@ -2,9 +2,17 @@
 
 Instead of building the level-``t`` expansion (``n**t`` vertices), the index
 is assembled from exact per-edge and per-vertex degree-class counters of the
-base graph. Counters and integer prefactors are carried in arbitrary
-precision; floating point only enters when a counter multiplies a real power
-of a degree, so ``t`` can be large without overflow in exact mode.
+base graph. Once the base, ``alpha`` and the variant are fixed, every counter
+is affine in ``n**(t-2)`` (and, for the polymeric expansion, in ``t``), so
+:func:`compile_index` sums the whole index once into integer coefficients
+over ``(n**(t-2), t, 1)`` and :meth:`LevelForm.at` evaluates any level with
+one power of ``n`` and one division.
+
+Exact mode (integer ``alpha >= 1``) returns the integer index. Float mode
+returns the correctly rounded value of the exact sum, over the expansion's
+edges, of ``fl(a**alpha * b**alpha)`` for end degrees ``a`` and ``b``: each
+power and each product is rounded once, and the sum once more at the end. A
+value past the double range raises :class:`OverflowError`.
 """
 
 from __future__ import annotations
@@ -12,8 +20,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import NamedTuple, Union
+
+import numpy as np
 
 from .construct import EdgeClassCounts, VertexClassCounts, repunit
 from .graphs import (
@@ -44,14 +53,13 @@ def _counters(n: int, dx: int, dy: int, tau: int, lead: int, rep: int) -> tuple[
     ``lead`` multiplies the per-copy census of one level, ``rep`` the
     geometric carry-over from deeper levels; instantiated with
     ``(n**(t-2), repunit(n, t-2))`` this counts edge copies of the level-``t``
-    expansion by endpoint degree increments.
+    expansion by endpoint degree increments; all four are nonnegative for
+    every ``tau`` that :func:`compile_index` accepts.
     """
     c00 = lead * (n - dx - dy + tau)
     c01 = lead * (dy - tau) - rep * dx
     c10 = lead * (dx - tau) - rep * dy
     c11 = lead * (tau + 1) + rep * (dx + dy + 1)
-    if min(c00, c01, c10, c11) < 0:
-        raise ArithmeticError(f"negative degree-class counter for (dx, dy, tau) = {(dx, dy, tau)}")
     return c00, c01, c10, c11
 
 
@@ -202,62 +210,208 @@ def _float_or_none(value: Number) -> float | None:
         return None
 
 
-def _finish(variant: str, t: int, p: IndexParams, total: Number, breakdown) -> IndexReport:
-    # with finite alpha a float total is non-finite only when a power product overflowed
-    if not p.exact and not math.isfinite(total):
-        raise OverflowError(f"float {variant} index at t={t}, alpha={p.alpha:g} exceeds the double range")
-    exact = int(total) if p.exact else None
+def _report(variant: str, t: int, p: IndexParams, total: Number, breakdown) -> IndexReport:
+    exact = total if p.exact else None
     return IndexReport(variant, t, p.alpha, _float_or_none(total), exact, breakdown, "closed-form")
 
 
-# -- expansion index ----------------------------------------------------------
+# -- the compiled level form ----------------------------------------------------
 
-def _power_table(base: Graph, shifts, extra, p: IndexParams) -> dict[int, Number]:
-    """``k ** alpha`` for each ``k`` in ``extra`` and each lifted degree ``k = d + s``
-    of a vertex that has edges (an isolated vertex's 0 has no negative power)."""
-    a = p.int_alpha if p.exact else p.alpha
-    return {k: k ** a for k in {d + s for d in set(base.degrees().tolist()) - {0} for s in shifts}.union(extra)}
-
-
-def _edge_classes(base: Graph) -> tuple[list[tuple[int, int, int]], Counter]:
-    """The class ``(dx, dy, tau)`` of every canonical edge and the size of each
-    class. Degrees and triangles are all the closed forms see of an edge, so
-    the edges of one class contribute identical terms."""
-    deg, e = base.degrees(), base.edges
-    keys = list(zip(deg[e[:, 0]].tolist(), deg[e[:, 1]].tolist(), edge_triangles(base).tolist()))
-    return keys, Counter(keys)
+def _degree_pairs(base: Graph, deg: np.ndarray, tau: np.ndarray) -> dict[tuple[int, int], list[int]]:
+    """``[edges, triangles on them]`` per ordered end-degree pair ``(dx, dy)``;
+    every counter is linear in an edge's triangles ``tau``. Refuses ``tau``
+    outside ``[max(0, dx + dy - n), min(dx, dy) - 1]``, the range where all
+    four counters are nonnegative at every level ``t >= 2``."""
+    e, n, pairs = base.edges, base.n, {}
+    for (dx, dy, k), size in Counter(zip(deg[e[:, 0]].tolist(), deg[e[:, 1]].tolist(), tau.tolist())).items():
+        if k < 0 or k < dx + dy - n or k >= dx or k >= dy:
+            raise ArithmeticError(f"{k} triangles on an edge with end degrees {dx} and {dy} of a base on {n} vertices")
+        acc = pairs.setdefault((dx, dy), [0, 0])
+        acc[0], acc[1] = acc[0] + size, acc[1] + size * k
+    return pairs
 
 
-def _class_sum(weights, sizes, p: IndexParams) -> Number:
-    """Sum of class weights, each times its class size. Float mode gives
-    ``fsum`` each weight once per member: the same values as a member-by-member
-    sum, so the same correctly rounded bits."""
-    if p.exact:
-        return sum(k * w for w, k in zip(weights, sizes))
-    return math.fsum(chain.from_iterable(map(repeat, weights, sizes)))
+def _affine(*terms) -> tuple[int, int, int]:
+    """``sum(scalar * basis)`` over ``(N, t, 1)`` for ``(basis, scalar)`` terms."""
+    a = b = c = 0
+    for (x, y, z), scalar in terms:
+        a, b, c = a + x * scalar, b + y * scalar, c + z * scalar
+    return a, b, c
 
 
-def _edge_group(base: Graph, keys, classes: Counter, pw: dict[int, Number], lead: int, rep: int, shift: int,
-                p: IndexParams, include_breakdown: bool) -> tuple[Number, tuple[EdgeWeight, ...] | None]:
-    """Total weight of one copy group of the base edges, each weighed by the
-    four degree classes at ``base degree + shift`` with powers from ``pw``;
-    per-edge weights in canonical order only when a breakdown is asked for."""
-    n, add = base.n, sum if p.exact else math.fsum
-    weights, terms = {}, {}
-    for key in classes:
-        dx, dy, tau = key
-        c00, c01, c10, c11 = counters = _counters(n, dx, dy, tau, lead, rep)
-        a, b = dx + shift, dy + shift
-        pa0, pa1, pb0, pb1 = pw[a], pw[a + 1], pw[b], pw[b + 1]
-        values = (c00 * (pa0 * pb0), c01 * (pa0 * pb1), c10 * (pa1 * pb0), c11 * (pa1 * pb1))
-        weights[key] = add(values)
-        if include_breakdown:
-            terms[key] = tuple(map(EdgeTerm, counters, ((a, b), (a, b + 1), (a + 1, b), (a + 1, b + 1)), values))
-    total = _class_sum(weights.values(), classes.values(), p)
-    if not include_breakdown:
-        return total, None
-    edges = zip(base.iter_edges(), keys)
-    return total, tuple(EdgeWeight(x, y, terms[key], weights[key]) for (x, y), key in edges)
+@dataclass(eq=False)
+class LevelForm:
+    """One base compiled for one variant and :class:`IndexParams`. At ``t >= 2``
+    each of ``parts`` (one for ``S``, the seven :class:`PolymericParts` for
+    ``P``) and their sum ``total`` is ``(a*N + b*t + c) / den`` with
+    ``N = n**(t-2)``; ``den`` is ``(n-1)**2``, times ``2**E`` in float mode.
+    ``level1`` is the polymeric level-1 numerator; None marks a weight past the
+    double range. ``tau`` and ``powers`` serve breakdowns."""
+
+    variant: str
+    base: Graph
+    params: IndexParams
+    parts: tuple[tuple[int, int, int], ...] | None
+    total: tuple[int, int, int] | None
+    level1: int | None
+    den: int
+    tau: np.ndarray
+    powers: dict[int, Number]
+
+    def at(self, t: int, include_breakdown: bool = False) -> IndexReport:
+        """The index at level ``t``: one ``n**(t-2)``, a few big-integer products
+        and one division; a breakdown evaluates the per-class counters at ``t``."""
+        if t < 1:
+            raise ValueError("t must be >= 1")
+        p, n = self.params, self.base.n
+        if t == 1:  # no breakdown
+            value = randic_index(self.base, p) if self.variant == "S" else self._ratio(t, self.level1)
+            return _report(self.variant, t, p, value, None)
+        if self.total is None or not p.exact and self._past_double_range(t):
+            raise self._overflow(t)
+        lead = n ** (t - 2)
+        evaluated = (self.total, *self.parts) if include_breakdown else (self.total,)
+        total, *parts = (self._ratio(t, a * lead + b * t + c) for a, b, c in evaluated)
+        if not include_breakdown:
+            return _report(self.variant, t, p, total, None)
+        psi2 = (lead - 1) // (n - 1)  # repunit(n, t-2)
+        if self.variant == "S":
+            return _report("S", t, p, total, SierpinskiBreakdown(self._edge_weights(lead, psi2, 0)))
+        mid_copy = (psi2 - (t - 2)) // (n - 1)  # sum of repunit(n, i-2) over levels i = 2..t-1
+        mid, top = self._edge_weights(psi2, mid_copy, 2), self._edge_weights(lead, psi2, 1)
+        return _report("P", t, p, total, PolymericBreakdown(PolymericParts(*parts), mid, top))
+
+    def _overflow(self, t: int) -> OverflowError:
+        alpha = self.params.alpha
+        return OverflowError(f"float {self.variant} index at t={t}, alpha={alpha:g} exceeds the double range")
+
+    def _ratio(self, t: int, num: int | None) -> Number:
+        """``num / den``: the exact quotient, or the correctly rounded float."""
+        if num is None:
+            raise self._overflow(t)
+        if self.params.exact:
+            return _int_ratio(num, self.den)
+        try:
+            return num / self.den
+        except OverflowError:
+            raise self._overflow(t) from None
+
+    def _past_double_range(self, t: int) -> bool:
+        """Whether the float total is certainly at least ``2**1024``, from bit
+        lengths alone, before ``n**(t-2)`` is computed."""
+        a, b, c = self.total
+        low = a.bit_length() - 2 + int((t - 2) * math.log2(self.base.n))  # a * n**(t-2) >= 2**low
+        rest = max(b.bit_length() + t.bit_length(), c.bit_length()) + 1  # |b*t + c| < 2**rest
+        return a > 0 and low > rest and low - 1 - self.den.bit_length() >= 1024
+
+    def _edge_weights(self, lead: int, rep: int, shift: int) -> tuple[EdgeWeight, ...]:
+        """Per canonical edge, the four degree-class terms of one copy group at
+        ``base degree + shift``, one set of terms per class ``(dx, dy, tau)``."""
+        base, pw, add = self.base, self.powers, sum if self.params.exact else math.fsum
+        deg, e = base.degrees(), base.edges
+        keys = list(zip(deg[e[:, 0]].tolist(), deg[e[:, 1]].tolist(), self.tau.tolist()))
+        rows = {}
+        for dx, dy, tau in set(keys):
+            counters = _counters(base.n, dx, dy, tau, lead, rep)
+            a, b = dx + shift, dy + shift
+            degrees = ((a, b), (a, b + 1), (a + 1, b), (a + 1, b + 1))
+            values = [c * (pw[x] * pw[y]) for c, (x, y) in zip(counters, degrees)]
+            rows[dx, dy, tau] = tuple(map(EdgeTerm, counters, degrees, values)), add(values)
+        return tuple(EdgeWeight(x, y, *rows[key]) for (x, y), key in zip(base.iter_edges(), keys))
+
+
+def compile_index(base: Graph, params: IndexParams | float, variant: str) -> LevelForm:
+    """Compile ``base`` for variant ``"S"`` or ``"P"`` and one exponent: the
+    expansion's edges grouped by lifted degree pair ``(a, b)``, each weighed by
+    ``fl(a**alpha * b**alpha)`` (exact integers in exact mode), summed once into
+    integer coefficients over ``(n**(t-2), t, 1)``. Nothing is cached."""
+    p = as_params(params)
+    if variant not in ("S", "P"):
+        raise ValueError(f"variant must be 'S' or 'P', got {variant!r}")
+    if variant == "P" and not is_connected(base):
+        raise ValueError("polymeric index needs a connected base graph")
+    n, u, deg = base.n, base.n - 1, base.degrees()
+    tau = edge_triangles(base)
+    pairs, degrees = _degree_pairs(base, deg, tau), deg[1:].tolist()
+    # k ** alpha for the hub degrees (n at the polymeric root, n + 1 below) and
+    # each lifted degree of a vertex with edges (0 has no negative power)
+    shifts, hubs = ((0, 1), ()) if variant == "S" else ((1, 2, 3), (n, n + 1))
+    lifted = {d + s for d in set(degrees) - {0} for s in shifts}.union(hubs)
+    pw = {k: k ** (p.int_alpha if p.exact else p.alpha) for k in lifted}
+    # fl(pa * pb) * 2**scale is an integer: its last bit is at least
+    # 2**(ea + eb - 54) for frexp exponents ea, eb, and never below 2**-1074
+    low = min(pw.values()) or min(filter(None, pw.values()), default=1.0)  # the least nonzero power
+    scale = 0 if p.exact else min(1074, max(0, 54 - 2 * math.frexp(low)[1]))
+    weights = {}
+
+    def w(a: int, b: int, ldexp=math.ldexp) -> int:
+        # the weight of degree pair (a, b) times 2**scale; OverflowError when it is inf
+        if (prod := weights.get((a, b))) is None:
+            prod = pw[a] * pw[b]
+            if not p.exact:
+                try:
+                    prod = int(ldexp(prod, scale))
+                except OverflowError:  # prod * 2**scale is past the double range, or prod is
+                    num, den = prod.as_integer_ratio()
+                    prod = num << (scale + 1 - den.bit_length())
+            weights[a, b] = prod
+        return prod
+
+    def copies(shift: int) -> tuple[int, int, int]:
+        # one copy group of the base edges at base degree + shift: the weight sums
+        # multiplying its lead and its repunit in the four counters, and the
+        # sum of the unlifted pair weights
+        on_lead = on_rep = plain = 0
+        for (dx, dy), (size, k) in pairs.items():
+            a, b = dx + shift, dy + shift
+            w00, w01, w10, w11 = w(a, b), w(a, b + 1), w(a + 1, b), w(a + 1, b + 1)
+            on_lead += size * ((n - dx - dy) * w00 + dy * w01 + dx * w10 + w11) + k * (w00 - w01 - w10 + w11)
+            on_rep += size * ((dx + dy + 1) * w11 - dx * w01 - dy * w10)
+            plain += size * w00
+        return on_lead, on_rep, plain
+
+    try:  # OverflowError: a weight past the double range
+        if variant == "S":  # n**(t-2) and repunit(n, t-2) are (u*u*N) and (u*N - u) over u**2
+            on_lead, on_rep, _ = copies(0)
+            parts = ((u * u * on_lead + u * on_rep, 0, -u * on_rep),)
+        else:
+            parts = _polymeric_parts(n, Counter(degrees), w, copies)
+    except OverflowError:
+        parts = None
+    try:  # the polymeric level 1: a root hub over the base, its degrees lifted by one
+        level1 = None if variant == "S" else u * u * (
+            sum(w(n, d + 1) for d in degrees) + sum(k * w(dx + 1, dy + 1) for (dx, dy), (k, _) in pairs.items()))
+    except OverflowError:
+        level1 = None
+    total = None if parts is None else parts[0] if len(parts) == 1 else tuple(map(sum, zip(*parts)))
+    return LevelForm(variant, base, p, parts, total, level1, u * u << scale, tau, pw)
+
+
+def _polymeric_parts(n: int, degrees: Counter, w, copies) -> tuple[tuple[int, int, int], ...]:
+    """The seven :class:`PolymericParts` as ``(N, t, 1)`` triples over ``(n-1)**2``."""
+    u = n - 1
+    # numerators over (n-1)**2 of n**(t-2), n**(t-1), 1, repunit(n, t-1),
+    # repunit(n, t-2), and the level sums over i = 2..t-1 of repunit(n, i-1)
+    # and repunit(n, i-2) and over i = 1..t-1 of repunit(n, i-1)
+    lead, top, one, psi1, psi2 = (u * u, 0, 0), (u * u * n, 0, 0), (0, 0, u * u), (u * n, 0, -u), (u, 0, -u)
+    mid_hub, mid_copy, links = (n, -u, 2 * u - n), (1, -u, 2 * u - 1), (n, -u, u - 1)
+    # hub edges to the base vertices: the root hub's at degree d + 2, the
+    # others' at d + 1..3, plain and times d
+    root = v1 = v2 = d1 = d2 = d3 = 0
+    for d, size in degrees.items():
+        w1, w2, w3 = w(n + 1, d + 1), w(n + 1, d + 2), w(n + 1, d + 3)
+        root, v1, v2 = root + size * w(n, d + 2), v1 + size * w1, v2 + size * w2
+        d1, d2, d3 = d1 + size * d * w1, d2 + size * d * w2, d3 + size * d * w3
+    (top_lead, top_rep, _), (mid_lead, mid_rep, first) = copies(1), copies(2)
+    return (
+        _affine((one, root)),
+        _affine((one, first)),
+        _affine((psi2, n * v2), (mid_hub, d3 - d2)),
+        _affine((psi2, mid_lead), (mid_copy, mid_rep)),
+        _affine((psi1, v2), (links, d3 - d2)),
+        _affine((top, v1), (psi1, d2 - d1)),
+        _affine((lead, top_lead), (psi2, top_rep)),
+    )
 
 
 def sierpinski_randic(
@@ -270,24 +424,11 @@ def sierpinski_randic(
 
     ``t = 1`` is the base graph itself and reduces to the direct edge sum;
     for ``t >= 2`` each base edge contributes the four degree-class terms of
-    its class ``(dx, dy, tau)``, computed once per class.
+    its class ``(dx, dy, tau)``. One :func:`compile_index`, one
+    :meth:`LevelForm.at`.
     """
-    p = as_params(params)
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if t == 1:
-        return _finish("S", t, p, randic_index(base, p), None)
+    return compile_index(base, params, "S").at(t, include_breakdown)
 
-    n = base.n
-    keys, classes = _edge_classes(base)
-    pw = _power_table(base, (0, 1), (), p)
-    lead, rep = n ** (t - 2), repunit(n, t - 2)
-    total, weights = _edge_group(base, keys, classes, pw, lead, rep, 0, p, include_breakdown)
-    breakdown = SierpinskiBreakdown(weights) if include_breakdown else None
-    return _finish("S", t, p, total, breakdown)
-
-
-# -- polymeric index ----------------------------------------------------------
 
 def polymeric_randic(
     base: Graph,
@@ -300,55 +441,10 @@ def polymeric_randic(
     ``t = 1`` is one hub of degree ``n`` joined to every base vertex, every
     base degree lifted by one: the ``hub_root`` and ``first_copy`` terms alone
     (no breakdown). For ``t >= 2`` those degrees are lifted by two and the
-    value splits into the seven :class:`PolymericParts` edge groups; all
-    integer prefactors (powers, repunits, the telescoped level sums) are
-    exact.
+    value splits into the seven :class:`PolymericParts` edge groups. One
+    :func:`compile_index`, one :meth:`LevelForm.at`.
     """
-    p = as_params(params)
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if not is_connected(base):
-        raise ValueError("polymeric index needs a connected base graph")
-
-    n = base.n
-    # the level-1 copy's degrees gain its hub and, below the top, the parent link
-    lift = 1 if t == 1 else 2
-    degree_classes = Counter(base.degrees()[1:].tolist())
-    shifts, hubs = ((1,), (n,)) if t == 1 else ((1, 2, 3), (n, n + 1))  # hubs: n at the root, n+1 below
-    pw = _power_table(base, shifts, hubs, p)
-
-    def vsum(f) -> Number:
-        return _class_sum(map(f, degree_classes), degree_classes.values(), p)
-
-    sum_p2 = vsum(lambda d: pw[d + lift])
-    hub_root = pw[n] * sum_p2
-    keys, classes = _edge_classes(base)
-    first_copy = _class_sum((pw[dx + lift] * pw[dy + lift] for dx, dy, _ in classes), classes.values(), p)
-    if t == 1:
-        return _finish("P", t, p, hub_root + first_copy, None)
-
-    psi1, psi2, lead = repunit(n, t - 1), repunit(n, t - 2), n ** (t - 2)
-    # level sums of hub/repunit prefactors, telescoped to exact integers:
-    #   mid hubs   sum_{i=2..t-1} repunit(i-1), mid copies sum_{i=2..t-1} repunit(i-2),
-    #   parent links sum_{i=1..t-1} repunit(i-1)
-    s_mid_hub = _int_ratio(t - 2 - n * psi2, 1 - n)
-    s_mid_copy = _int_ratio(t - 2 - psi2, 1 - n)
-    s_links = _int_ratio(t - 1 - psi1, 1 - n)
-
-    sum_d_p2 = vsum(lambda d: d * pw[d + 2])
-    sum_d_p3 = vsum(lambda d: d * pw[d + 3])
-
-    hub_mid = pw[n + 1] * ((n * psi2) * sum_p2 + s_mid_hub * (sum_d_p3 - sum_d_p2))
-    level_links = pw[n + 1] * (psi1 * sum_p2 + s_links * (sum_d_p3 - sum_d_p2))
-    top = n ** (t - 1)
-    hub_top = pw[n + 1] * (vsum(lambda d: pw[d + 1] * (top - d * psi1)) + psi1 * sum_d_p2)
-
-    copies_mid, mid_edges = _edge_group(base, keys, classes, pw, psi2, s_mid_copy, 2, p, include_breakdown)
-    copies_top, top_edges = _edge_group(base, keys, classes, pw, lead, psi2, 1, p, include_breakdown)
-
-    parts = PolymericParts(hub_root, first_copy, hub_mid, copies_mid, level_links, hub_top, copies_top)
-    breakdown = PolymericBreakdown(parts, mid_edges, top_edges) if include_breakdown else None
-    return _finish("P", t, p, parts.total, breakdown)
+    return compile_index(base, params, "P").at(t, include_breakdown)
 
 
 # -- bounds for triangle-free bases --------------------------------------------

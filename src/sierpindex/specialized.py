@@ -275,10 +275,17 @@ def _check_regular(n: int, degree: int) -> None:
         raise ValueError("not a valid regular degree profile")
 
 
-def _check_triangles(n: int, degree: int, triangles: int) -> None:
-    # an edge's triangles (common neighbours) lie in [2d - n, d - 1], so no class count is < 0
-    if not max(0, n * degree * (2 * degree - n)) <= 6 * triangles <= n * degree * (degree - 1):
-        raise ValueError(f"{triangles} triangles is impossible for a {degree}-regular base on {n} vertices")
+def _check_triangles(n: int, d: int, triangles: int) -> None:
+    """An edge's triangles (common neighbours) lie in ``[2d - n, d - 1]``, so no
+    class count is < 0; these bounds are only necessary for ``3 <= d <= n - 3``.
+    A 2-regular base is disjoint cycles: its triangles are 3-cycles and every
+    other cycle has at least 4 vertices. An (n-2)-regular base is ``K_n`` minus
+    a perfect matching, with exactly ``n(n-2)(n-4)/6`` triangles."""
+    bounded = max(0, n * d * (2 * d - n)) <= 6 * triangles <= n * d * (d - 1)
+    cycles = d != 2 or n - 3 * triangles not in (1, 2, 3)
+    matching = d != n - 2 or 6 * triangles == n * (n - 2) * (n - 4)
+    if not (bounded and cycles and matching):
+        raise ValueError(f"{triangles} triangles is impossible for a {d}-regular base on {n} vertices")
 
 
 def _check_semiregular(n1: int, n2: int, d1: int, d2: int) -> None:

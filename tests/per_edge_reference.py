@@ -1,11 +1,14 @@
 """Line-by-line and edge-by-edge code the library replaced, kept as a test reference.
 
 The closed forms: every base edge gets its own ``triangles_on_edge`` call,
-counters and four :class:`EdgeTerm` objects, and the totals are summed in
-canonical edge order. Level 1 of the polymeric expansion keeps its own
-vertex-by-vertex loop. Counters, powers and the integrality check are this
-module's own copies, and :func:`report_json` renders a report edge by edge,
-term by term, so the reference calls none of the code it checks.
+counters and four :class:`EdgeTerm` objects, every hub edge of the polymeric
+expansion is counted per base vertex, and the index is summed in exact
+``Fraction`` arithmetic over those copies: in float mode each copy weighs
+``fl(a**alpha * b**alpha)`` for its end degrees ``a`` and ``b``, and the exact
+sum is rounded once at the end. Level 1 of the polymeric expansion keeps its
+own vertex-by-vertex loop. Counters, powers and the integrality check are
+this module's own copies, and :func:`report_json` renders a report edge by
+edge, term by term, so the reference calls none of the code it checks.
 
 The oracle and edge-list I/O: a reader that checks one line at a time, a
 writer that formats one edge at a time, ``randic_index`` summed edge by edge,
@@ -13,8 +16,8 @@ the CSR arrays of :class:`Graph` built with ``lexsort``, and the connectivity
 and 2-coloring searches over numpy arrays.
 
 The library must agree with all of it exactly: equal integers in exact mode,
-bit-identical floats otherwise, the same per-edge breakdown, the same graphs,
-bytes and errors.
+the same correctly rounded floats otherwise, the same per-edge breakdown, the
+same graphs, bytes and errors.
 """
 
 import math
@@ -26,10 +29,10 @@ import numpy as np
 from sierpindex.closedform import (
     EdgeTerm,
     EdgeWeight,
+    IndexReport,
     PolymericBreakdown,
     PolymericParts,
     SierpinskiBreakdown,
-    _finish,
 )
 from sierpindex.construct import repunit
 from sierpindex.graphs import Graph, GraphError, ParseError, as_params, triangles_on_edge
@@ -171,6 +174,27 @@ def _power(d, p):
     return d ** p.int_alpha if p.exact else d ** p.alpha
 
 
+def _weight(a, b, p):
+    """The weight of one expansion edge with end degrees ``a`` and ``b``: the
+    integer ``a**alpha * b**alpha``, or the float product as an exact Fraction."""
+    w = _power(a, p) * _power(b, p)
+    return w if p.exact else Fraction(w)
+
+
+def _rounded(total, p):
+    """The exact sum itself, or its correctly rounded float (``OverflowError``
+    past the double range)."""
+    return total if p.exact else float(total)
+
+
+def _report(variant, t, p, total, breakdown):
+    try:
+        value = float(total)
+    except OverflowError:
+        value = None
+    return IndexReport(variant, t, p.alpha, value, total if p.exact else None, breakdown, "closed-form")
+
+
 def _int_ratio(num, den):
     f = Fraction(num, den)
     if f.denominator != 1:
@@ -189,13 +213,16 @@ def _counters(n, dx, dy, tau, lead, rep):
 
 
 def _edge_weight(x, y, dx, dy, counters, shift, p):
+    """The edge's breakdown entry, and its exact contribution to the index."""
     terms = []
+    exact = 0
     for (i, j), count in zip(((0, 0), (0, 1), (1, 0), (1, 1)), counters):
         a, b = dx + shift + i, dy + shift + j
         value = count * (_power(a, p) * _power(b, p))
         terms.append(EdgeTerm(count, (a, b), value))
+        exact += count * _weight(a, b, p)
     weight = sum(t.value for t in terms) if p.exact else math.fsum(t.value for t in terms)
-    return EdgeWeight(x, y, tuple(terms), weight)
+    return EdgeWeight(x, y, tuple(terms), weight), exact
 
 
 def sierpinski_randic(base, t, params, include_breakdown=False):
@@ -203,30 +230,30 @@ def sierpinski_randic(base, t, params, include_breakdown=False):
     if t < 1:
         raise ValueError("t must be >= 1")
     if t == 1:
-        return _finish("S", t, p, randic_index(base, p), None)
+        return _report("S", t, p, randic_index(base, p), None)
 
     n = base.n
     lead, rep = n ** (t - 2), repunit(n, t - 2)
     deg = base.degrees().tolist()
     weights = []
+    total = 0
     for x, y in base.iter_edges():
         tau = triangles_on_edge(base, x, y)
         counters = _counters(n, deg[x], deg[y], tau, lead, rep)
-        weights.append(_edge_weight(x, y, deg[x], deg[y], counters, 0, p))
-    total = sum(w.weight for w in weights) if p.exact else math.fsum(w.weight for w in weights)
+        weight, exact = _edge_weight(x, y, deg[x], deg[y], counters, 0, p)
+        weights.append(weight)
+        total += exact
     breakdown = SierpinskiBreakdown(tuple(weights)) if include_breakdown else None
-    return _finish("S", t, p, total, breakdown)
+    return _report("S", t, p, _rounded(total, p), breakdown)
 
 
 def polymeric_level1_randic(base, p):
     """One hub of degree ``n`` joined to every base vertex, every base degree
     lifted by one; summed vertex by vertex and edge by edge."""
     deg = base.degrees().tolist()
-    hub_terms = [_power(deg[x] + 1, p) for x in range(1, base.n + 1)]
-    lift_terms = [_power(deg[x] + 1, p) * _power(deg[y] + 1, p) for x, y in base.iter_edges()]
-    if p.exact:
-        return base.n ** p.int_alpha * sum(hub_terms) + sum(lift_terms)
-    return base.n ** p.alpha * math.fsum(hub_terms) + math.fsum(lift_terms)
+    hub_terms = [_weight(base.n, deg[x] + 1, p) for x in range(1, base.n + 1)]
+    lift_terms = [_weight(deg[x] + 1, deg[y] + 1, p) for x, y in base.iter_edges()]
+    return _rounded(sum(hub_terms) + sum(lift_terms), p)
 
 
 def polymeric_randic(base, t, params, include_breakdown=False):
@@ -236,7 +263,7 @@ def polymeric_randic(base, t, params, include_breakdown=False):
     if not is_connected(base):
         raise ValueError("polymeric index needs a connected base graph")
     if t == 1:
-        return _finish("P", t, p, polymeric_level1_randic(base, p), None)
+        return _report("P", t, p, polymeric_level1_randic(base, p), None)
 
     n = base.n
     deg = base.degrees().tolist()
@@ -247,45 +274,34 @@ def polymeric_randic(base, t, params, include_breakdown=False):
     s_mid_copy = _int_ratio(t - 2 - psi2, 1 - n)
     s_links = _int_ratio(t - 1 - psi1, 1 - n)
 
-    verts = range(1, n + 1)
-    hub_deg_pow = _power(n + 1, p)
-    plus1 = {x: _power(deg[x] + 1, p) for x in verts}
-    plus2 = {x: _power(deg[x] + 2, p) for x in verts}
-    plus3 = {x: _power(deg[x] + 3, p) for x in verts}
+    def hub_edges(counts):
+        # copies of the hub edges at each base vertex: (count, hub degree, vertex degree) per kind
+        return sum(c * _weight(h, deg[x] + s, p) for x in range(1, n + 1) for c, h, s in counts(deg[x]))
 
-    def vsum(values):
-        return sum(values) if p.exact else math.fsum(values)
+    hub_root = hub_edges(lambda d: ((1, n, 2),))
+    first_copy = sum(_weight(deg[x] + 2, deg[y] + 2, p) for x, y in base.iter_edges())
+    hub_mid = hub_edges(lambda d: ((n * psi2 - d * s_mid_hub, n + 1, 2), (d * s_mid_hub, n + 1, 3)))
+    level_links = hub_edges(lambda d: ((psi1 - d * s_links, n + 1, 2), (d * s_links, n + 1, 3)))
+    hub_top = hub_edges(lambda d: ((n ** (t - 1) - d * psi1, n + 1, 1), (d * psi1, n + 1, 2)))
 
-    sum_p2 = vsum(plus2[x] for x in verts)
-    sum_d_p2 = vsum(deg[x] * plus2[x] for x in verts)
-    sum_d_p3 = vsum(deg[x] * plus3[x] for x in verts)
-
-    hub_root = _power(n, p) * sum_p2
-    first_copy = vsum(plus2[x] * plus2[y] for x, y in base.iter_edges())
-    hub_mid = hub_deg_pow * ((n * psi2) * sum_p2 + s_mid_hub * (sum_d_p3 - sum_d_p2))
-    level_links = hub_deg_pow * (psi1 * sum_p2 + s_links * (sum_d_p3 - sum_d_p2))
-    hub_top = hub_deg_pow * (
-        vsum(plus1[x] * (n ** (t - 1) - deg[x] * psi1) for x in verts) + psi1 * sum_d_p2
-    )
-
-    mid_edges = []
-    top_edges = []
+    mid_edges, top_edges = [], []
+    copies_mid = copies_top = 0
     for x, y in base.iter_edges():
         tau = triangles_on_edge(base, x, y)
-        mid_edges.append(
-            _edge_weight(x, y, deg[x], deg[y], _counters(n, deg[x], deg[y], tau, psi2, s_mid_copy), 2, p)
-        )
-        top_edges.append(
-            _edge_weight(x, y, deg[x], deg[y], _counters(n, deg[x], deg[y], tau, lead, psi2), 1, p)
-        )
-    copies_mid = vsum(w.weight for w in mid_edges)
-    copies_top = vsum(w.weight for w in top_edges)
+        weight, exact = _edge_weight(x, y, deg[x], deg[y], _counters(n, deg[x], deg[y], tau, psi2, s_mid_copy), 2, p)
+        mid_edges.append(weight)
+        copies_mid += exact
+        weight, exact = _edge_weight(x, y, deg[x], deg[y], _counters(n, deg[x], deg[y], tau, lead, psi2), 1, p)
+        top_edges.append(weight)
+        copies_top += exact
 
-    parts = PolymericParts(hub_root, first_copy, hub_mid, copies_mid, level_links, hub_top, copies_top)
-    breakdown = (
-        PolymericBreakdown(parts, tuple(mid_edges), tuple(top_edges)) if include_breakdown else None
-    )
-    return _finish("P", t, p, parts.total, breakdown)
+    exact_parts = (hub_root, first_copy, hub_mid, copies_mid, level_links, hub_top, copies_top)
+    total = _rounded(sum(exact_parts), p)
+    breakdown = None
+    if include_breakdown:
+        parts = PolymericParts(*(_rounded(part, p) for part in exact_parts))
+        breakdown = PolymericBreakdown(parts, tuple(mid_edges), tuple(top_edges))
+    return _report("P", t, p, total, breakdown)
 
 
 def _num_json(v):

@@ -3,10 +3,10 @@ import sierpindex as sx
 # Any addition to or removal from the public API shows up as a diff here.
 PUBLIC_API = [
     "DEFAULT_VERTEX_BUDGET", "DISPUTED_PRINTS", "DegreeProfile", "EdgeClassCounts", "Graph",
-    "GraphError", "IndexParams", "IndexReport", "ParseError", "PolymericBreakdown",
+    "GraphError", "IndexParams", "IndexReport", "LevelForm", "ParseError", "PolymericBreakdown",
     "PolymericLayout", "PolymericParts", "SierpinskiBreakdown", "VertexBudgetError",
     "VertexClassCounts", "census_edge_classes", "census_vertex_classes", "closedform",
-    "complete_bipartite_graph", "complete_graph", "construct", "cycle_graph", "degree_power_sum",
+    "compile_index", "complete_bipartite_graph", "complete_graph", "construct", "cycle_graph", "degree_power_sum",
     "degree_profile", "demo_graph", "edge_class_counts", "edge_triangles", "generate_family",
     "graphs", "id_to_word", "is_connected", "parse_edge_list", "path_graph", "polymeric_complete",
     "polymeric_graph", "polymeric_layout", "polymeric_level1_complete", "polymeric_level1_regular",

@@ -203,21 +203,37 @@ def test_verify_passes_and_reports(capsys, k3_file, tmp_path):
 
 
 def test_verify_detects_a_perturbed_formula(capsys, k3_file, monkeypatch):
-    true_fn = closedform.sierpinski_randic
+    true_compile = closedform.compile_index
 
-    def skewed(base, t, params, include_breakdown=False):
-        report = true_fn(base, t, params, include_breakdown)
-        return closedform.IndexReport(
-            report.variant, report.t, report.alpha,
-            report.value * (1 + 1e-6), report.exact, report.breakdown, report.source,
-        )
+    def skewed(base, params, variant):
+        form = true_compile(base, params, variant)
+        true_at = form.at
 
-    # the CLI reaches the closed forms through its variant table
-    monkeypatch.setitem(cli._VARIANTS, "S", cli._VARIANTS["S"]._replace(closed=skewed))
+        def at(t, include_breakdown=False):
+            report = true_at(t, include_breakdown)
+            return closedform.IndexReport(
+                report.variant, report.t, report.alpha,
+                report.value * (1 + 1e-6), report.exact, report.breakdown, report.source,
+            )
+
+        form.at = at
+        return form
+
+    # the CLI reaches the closed forms through compile_index
+    monkeypatch.setattr(closedform, "compile_index", skewed)
     rc, out, _ = run(capsys, "verify", k3_file, "--variant", "S", "--t", "2",
                      "--alpha", "-0.5")
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_verify_compiles_once_per_graph_variant_and_alpha(capsys, k3_file, monkeypatch):
+    compiled = []
+    true_compile = closedform.compile_index
+    monkeypatch.setattr(closedform, "compile_index", lambda *args: compiled.append(args[1:]) or true_compile(*args))
+    rc, out, _ = run(capsys, "verify", k3_file, "--t", "1..3", "--alpha", "-0.5", "--alpha", "2")
+    assert rc == 0 and "12 cells: 12 ok" in out
+    assert sorted(compiled) == [(-0.5, "P"), (-0.5, "S"), (2.0, "P"), (2.0, "S")]
 
 
 def test_verify_includes_polymeric_level_one(capsys, k3_file):

@@ -165,23 +165,31 @@ def test_breakdown_matches_per_edge_reference(base):
                 assert got_json == json.dumps(reference.report_json(want), indent=2), (got.variant, t, params)
 
 
+def _run_optimized(script: str) -> None:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 def test_compile_guards_survive_optimized_mode():
-    # the counter sign, prefactor integrality and triangle divisibility checks
-    # must still raise when python -O strips asserts; the sign check also through
+    # the triangle range, prefactor integrality and triangle divisibility checks
+    # must still raise when python -O strips asserts; the range check through
     # both closed forms, fed more triangles per edge than its degrees allow
-    script = """
+    _run_optimized("""
 import sys
 import numpy as np
 import sierpindex as sx
 from sierpindex import closedform, graphs
-from sierpindex.closedform import _counters, _int_ratio
+from sierpindex.closedform import _int_ratio
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 graphs.edge_triangles = lambda g: np.array([1])
 closedform.edge_triangles = lambda g: np.full(g.m, g.n)
 k3 = sx.complete_graph(3)
-guarded = (lambda: _counters(3, 1, 1, 2, 1, 0), lambda: _int_ratio(1, 2),
-           lambda: sx.triangle_count(sx.complete_graph(2)),
+guarded = (lambda: _int_ratio(1, 2), lambda: sx.triangle_count(sx.complete_graph(2)),
            lambda: sx.sierpinski_randic(k3, 2, -0.5), lambda: sx.polymeric_randic(k3, 2, -0.5))
 for call in guarded:
     try:
@@ -189,13 +197,31 @@ for call in guarded:
     except ArithmeticError:
         continue
     sys.exit("guard did not fire")
-"""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
+""")
+
+
+def test_overcounted_triangles_are_refused_at_compile_time_under_optimized_mode():
+    # one triangle too many per edge of K4 (tau = 3 = min(dx, dy)) keeps every
+    # counter nonnegative at t = 2 but not at t = 3; the compile refuses it
+    # before any level is asked for, under python -O too
+    _run_optimized("""
+import sys
+import sierpindex as sx
+from sierpindex import closedform, graphs
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+closedform.edge_triangles = lambda g: graphs.edge_triangles(g) + 1
+k4 = sx.complete_graph(4)
+for call in (lambda: closedform.compile_index(k4, -0.5, "S"), lambda: closedform.compile_index(k4, 1.0, "P"),
+             lambda: sx.sierpinski_randic(k4, 2, sx.IndexParams(1, exact=True))):
+    try:
+        call()
+    except ArithmeticError as exc:
+        if "3 triangles on an edge with end degrees 3 and 3" not in str(exc):
+            sys.exit(f"wrong message: {exc}")
+        continue
+    sys.exit("guard did not fire")
+""")
 
 
 def test_exact_mode_agrees_with_float_within_double_range():
@@ -216,6 +242,56 @@ def test_exact_mode_survives_deep_levels():
 def test_exact_value_is_none_beyond_double_range():
     rep = sx.sierpinski_randic(sx.complete_graph(5), 500, sx.IndexParams(2, exact=True))
     assert rep.value is None and rep.exact > 10 ** 308
+
+
+# t of the benchmark's deep_levels grid: the log-midpoints of 32 equal strata of [2, 1e4]
+DEEP_TS = sorted({min(max(int(math.exp(math.log(2) + (k + 0.5) / 32 * math.log(5000))), 2), 10_000) for k in range(32)})
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_float_refuses_exactly_where_the_exact_sum_rounds_past_the_double_range(corpus, name):
+    # the bit-length pre-check refuses only values certainly past 2**1024; the
+    # division refuses the rest; the Fraction reference rounds the same exact sum
+    g = corpus[name]
+    for variant, ref in (("S", reference.sierpinski_randic), ("P", reference.polymeric_randic)):
+        for alpha in (-1.0, -0.5, 0.5, 2.0):
+            form = sx.compile_index(g, alpha, variant)
+            for t in DEEP_TS:
+                try:
+                    want = ref(g, t, alpha).value
+                except OverflowError:
+                    with pytest.raises(OverflowError, match="exceeds the double range"):
+                        form.at(t)
+                    continue
+                assert form.at(t).value == want, (variant, alpha, t)
+
+
+def test_level_form_evaluates_without_recompiling(corpus, monkeypatch):
+    # nothing is cached on the graph or in a module: every call compiles anew,
+    # and a held form answers every level from its one compile
+    calls = []
+    real = sx.closedform.edge_triangles
+    monkeypatch.setattr(sx.closedform, "edge_triangles", lambda g: calls.append(g) or real(g))
+    g = corpus["demo7"]
+    for _ in range(3):
+        sx.sierpinski_randic(g, 5, -0.5)
+        sx.polymeric_randic(g, 5, -0.5)
+    assert len(calls) == 6
+    form = sx.compile_index(g, sx.IndexParams(2, exact=True), "P")
+    reports = [form.at(t, include_breakdown=True) for t in range(1, 30)]
+    assert len(calls) == 7
+    assert [r.exact for r in reports] == [sx.polymeric_randic(g, t, sx.IndexParams(2, exact=True)).exact
+                                          for t in range(1, 30)]
+
+
+def test_compile_index_validates_its_arguments():
+    k3 = sx.complete_graph(3)
+    with pytest.raises(ValueError, match="variant must be 'S' or 'P'"):
+        sx.compile_index(k3, -0.5, "Q")
+    with pytest.raises(ValueError, match="connected"):
+        sx.compile_index(sx.Graph(4, [(1, 2), (3, 4)]), -0.5, "P")
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        sx.compile_index(k3, -0.5, "S").at(0)
 
 
 @pytest.mark.parametrize("closed", [sx.sierpinski_randic, sx.polymeric_randic])

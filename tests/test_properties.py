@@ -187,3 +187,17 @@ def test_breakdown_json_edges_own_their_containers():
         first["terms"].append({})
         first["edge"].append(0)
         assert edges[1:] == before[1:]
+
+
+# One compiled form serves every level: its reports equal fresh per-call ones.
+FORM_LEVELS = (1, 2, 3, 7, 40)
+
+
+@given(connected_graphs(), st.sampled_from(DIFFERENTIAL_PARAMS))
+@settings(max_examples=40, deadline=None)
+def test_one_level_form_equals_per_call_reports(g, params):
+    for variant, closed in (("S", sx.sierpinski_randic), ("P", sx.polymeric_randic)):
+        form = sx.compile_index(g, params, variant)
+        for t in FORM_LEVELS:
+            assert form.at(t) == closed(g, t, params), (variant, t)
+        assert form.at(3, include_breakdown=True) == closed(g, 3, params, include_breakdown=True), variant

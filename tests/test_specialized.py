@@ -56,6 +56,29 @@ def test_regular_formulas_refuse_impossible_triangle_counts(key):
             sx.polymeric_regular(n, d, tau, 2, -0.5)
 
 
+@pytest.mark.parametrize("n, d, tau", [(4, 2, 1), (5, 2, 1), (6, 2, 1), (7, 2, 2), (6, 4, 9), (8, 6, 33)])
+def test_regular_formulas_refuse_counts_no_2_or_n_minus_2_regular_base_has(n, d, tau):
+    # inside the per-edge bounds, yet no such graph exists: a 2-regular base's
+    # triangles are 3-cycles among cycles of 4+ vertices (n - 3*tau is 0 or >= 4),
+    # an (n-2)-regular base is K_n minus a perfect matching (6*tau = n(n-2)(n-4))
+    assert max(0, n * d * (2 * d - n)) <= 6 * tau <= n * d * (d - 1)
+    with pytest.raises(ValueError, match=f"{tau} triangles is impossible"):
+        sx.sierpinski_regular(n, d, tau, 2, -0.5)
+    with pytest.raises(ValueError, match=f"{tau} triangles is impossible"):
+        sx.polymeric_regular(n, d, tau, 2, -0.5)
+
+
+@pytest.mark.parametrize("n, d, tau, build", [
+    (6, 2, 2, lambda: sx.Graph(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])),  # two triangles
+    (7, 2, 1, lambda: sx.Graph(7, [(1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7), (4, 7)])),  # K3 + C4
+    (8, 6, 32, lambda: sx.Graph(8, [(u, v) for u in range(1, 9) for v in range(u + 1, 9) if v - u != 4])),
+])
+def test_regular_formulas_accept_counts_a_base_has(n, d, tau, build):
+    g = build()
+    assert sx.triangle_count(g) == tau
+    assert rel_close(sx.sierpinski_regular(n, d, tau, 3, -0.5), sx.sierpinski_randic(g, 3, -0.5).value)
+
+
 def test_sierpinski_regular_names_its_level_bound():
     with pytest.raises(ValueError, match="t must be >= 2"):
         sx.sierpinski_regular(4, 2, 0, 1, -0.5)
