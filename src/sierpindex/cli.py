@@ -68,9 +68,8 @@ def _budget(args) -> int:
 
 def _parse_t_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
-    values = range(int(lo), int(hi) + 1) if sep else [int(text)]
-    out = list(values)
-    if not out or out[0] < 1:
+    out = list(range(int(lo), int(hi) + 1) if sep else [int(text)])
+    if not out:  # a level below 1 is refused where it is used
         raise ValueError(f"bad t range {text!r}")
     return out
 
@@ -126,11 +125,13 @@ def _cmd_direct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    tol = args.tol
+    if not 0 <= tol < float("inf"):
+        raise ValueError(f"--tol must be finite and >= 0, got {tol:g}")
     budget = _budget(args)
     variants = sorted(set(args.variant or _VARIANTS))
     alphas = sorted(set(args.alpha or [-1.0, -0.5, 0.5, 1.0, 2.0]))
     ts = _parse_t_range(args.t)
-    tol = args.tol
 
     cells = []
     for path in args.graphs:

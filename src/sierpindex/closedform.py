@@ -24,7 +24,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .construct import EdgeClassCounts, VertexClassCounts, repunit
+from .construct import EdgeClassCounts, VertexClassCounts, _int_arg, repunit
 from .graphs import (
     Graph,
     IndexParams,
@@ -66,8 +66,7 @@ def _counters(n: int, dx: int, dy: int, tau: int, lead: int, rep: int) -> tuple[
 def edge_class_counts(base: Graph, x: int, y: int, t: int) -> EdgeClassCounts:
     """Exact copies of base edge ``{x, y}`` in the level-``t`` expansion,
     split by endpoint degree increments; equals the explicit census."""
-    if t < 2:
-        raise ValueError("degree-class counters need t >= 2")
+    t = _int_arg(t, 2)
     if x > y:
         x, y = y, x
     tau = triangles_on_edge(base, x, y)  # validates the edge
@@ -79,8 +78,7 @@ def edge_class_counts(base: Graph, x: int, y: int, t: int) -> EdgeClassCounts:
 def vertex_class_counts(base: Graph, x: int, t: int) -> VertexClassCounts:
     """Exact copies of base vertex ``x`` in the level-``t`` expansion, split
     by kept degree (``c0``) vs degree + 1 (``c1``)."""
-    if t < 2:
-        raise ValueError("degree-class counters need t >= 2")
+    t = _int_arg(t, 2)
     bumped = base.degree(x) * repunit(base.n, t - 1)
     return VertexClassCounts(x, base.n ** (t - 1) - bumped, bumped)
 
@@ -261,9 +259,7 @@ class LevelForm:
     def at(self, t: int, include_breakdown: bool = False) -> IndexReport:
         """The index at level ``t``: one ``n**(t-2)``, a few big-integer products
         and one division; a breakdown evaluates the per-class counters at ``t``."""
-        if t < 1:
-            raise ValueError("t must be >= 1")
-        p, n = self.params, self.base.n
+        t, p, n = _int_arg(t, 1), self.params, self.base.n
         if t == 1:  # no breakdown
             value = randic_index(self.base, p) if self.variant == "S" else self._ratio(t, self.level1)
             return _report(self.variant, t, p, value, None)
@@ -460,8 +456,7 @@ def sierpinski_randic_bounds(base: Graph, t: int, alpha: float) -> tuple[float, 
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    if t < 2:
-        raise ValueError("bounds need t >= 2")
+    t = _int_arg(t, 2)
     if triangle_count(base) != 0:
         raise ValueError("bounds require a triangle-free base graph")
     degs = base.degrees().tolist()[1:]

@@ -12,6 +12,7 @@ ground truth for the closed forms; sizes are gated by a vertex budget.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,11 +41,20 @@ def _check_budget(requested: int, budget: int) -> None:
         raise VertexBudgetError(requested, budget)
 
 
+def _int_arg(value, least: int, name: str = "t") -> int:
+    """``value`` as a Python int, for every level and size that feeds a power:
+    numpy integers pass, anything else (a float, a string, None) raises
+    ``TypeError``, and a value below ``least`` raises ``ValueError``."""
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
 def repunit(n: int, t: int) -> int:
     """``1 + n + ... + n**(t-1)`` exactly (0 for ``t = 0``): per base edge, its
     copies in the level-``t`` expansion."""
-    if n < 2 or t < 0:
-        raise ValueError("repunit needs n >= 2 and t >= 0")
+    n, t = _int_arg(n, 2, "n"), _int_arg(t, 0)
     return (n ** t - 1) // (n - 1)
 
 
@@ -52,8 +62,8 @@ def repunit(n: int, t: int) -> int:
 
 def word_to_id(word: Sequence[int], n: int) -> int:
     """Pack a word (most significant letter first) into an id in ``1..n**t``."""
-    vid = 0
-    for letter in word:
+    n, vid = _int_arg(n, 1, "n"), 0
+    for letter in map(operator.index, word):
         if not 1 <= letter <= n:
             raise ValueError(f"letter {letter} outside alphabet 1..{n}")
         vid = vid * n + (letter - 1)
@@ -62,6 +72,7 @@ def word_to_id(word: Sequence[int], n: int) -> int:
 
 def id_to_word(vid: int, n: int, t: int) -> tuple[int, ...]:
     """Inverse of :func:`word_to_id` for words of length ``t``."""
+    vid, n, t = operator.index(vid), _int_arg(n, 1, "n"), _int_arg(t, 0)
     if not 1 <= vid <= n ** t:
         raise ValueError(f"id {vid} outside 1..{n}**{t}")
     rem = vid - 1
@@ -103,8 +114,7 @@ def sierpinski_graph(base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET) -
     Level 1 is the base graph itself. Raises :class:`VertexBudgetError` when
     ``n**t`` exceeds ``budget``.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    t = _int_arg(t, 1)
     total = base.n ** t
     _check_budget(total, budget)
     return Graph(total, _expansion_edge_block(base, t) + 1)
@@ -115,7 +125,7 @@ def vertex_labels(base: Graph, t: int) -> list[str]:
     sep = "" if base.n <= 9 else "."
     return [
         sep.join(map(str, id_to_word(vid, base.n, t)))
-        for vid in range(1, base.n ** t + 1)
+        for vid in range(1, base.n ** _int_arg(t, 1) + 1)
     ]
 
 
@@ -134,6 +144,10 @@ class PolymericLayout:
     n: int
     t: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "n", _int_arg(self.n, 2, "n"))
+        object.__setattr__(self, "t", _int_arg(self.t, 1))
+
     def level_offset(self, i: int) -> int:
         return (self.n + 1) * repunit(self.n, i - 1)
 
@@ -142,6 +156,7 @@ class PolymericLayout:
         return self.level_offset(i) + j
 
     def hub_ids(self, i: int) -> range:
+        i = _int_arg(i, 1, "i")
         start = self.level_offset(i)
         return range(start + 1, start + self.n ** (i - 1) + 1)
 
@@ -152,12 +167,11 @@ class PolymericLayout:
     def total_edges(self, m: int) -> int:
         """Edges over a base with ``m`` edges: per level ``i``, ``m * repunit(n, i)``
         copies, ``n**i`` hub fan-outs and, below the top, ``n**i`` parent links."""
+        m = _int_arg(m, 0, "m")
         return sum(m * repunit(self.n, i) + 2 * self.n ** i for i in range(1, self.t + 1)) - self.n ** self.t
 
 
 def polymeric_layout(n: int, t: int) -> PolymericLayout:
-    if n < 2 or t < 1:
-        raise ValueError("need n >= 2 and t >= 1")
     return PolymericLayout(n, t)
 
 
@@ -169,14 +183,12 @@ def polymeric_graph(base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET) ->
     i.e. word vertices ``(j-1)*n+1 .. j*n``), and for ``i < t`` the parent
     links (word vertex ``j`` of level ``i`` to hub ``j`` of level ``i+1``).
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    layout = polymeric_layout(base.n, t)
     if not is_connected(base):
         raise ValueError("polymeric expansion needs a connected base graph")
-    layout = polymeric_layout(base.n, t)
     _check_budget(layout.total_vertices, budget)
 
-    n = base.n
+    n, t = base.n, layout.t
     blocks: list[np.ndarray] = []
     for i in range(1, t + 1):
         word_base = layout.level_offset(i) + n ** (i - 1)  # ids are word_base + k
@@ -193,9 +205,8 @@ def polymeric_graph(base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET) ->
 def polymeric_vertex_labels(base: Graph, t: int) -> list[str]:
     """Readable label per polymeric vertex id: ``hub/<level>/<j>`` or
     ``word/<level>/<word>``."""
-    layout = polymeric_layout(base.n, t)
-    labels = []
-    for i in range(1, t + 1):
+    layout, labels = polymeric_layout(base.n, t), []
+    for i in range(1, layout.t + 1):
         labels.extend(f"hub/{i}/{j}" for j in range(1, base.n ** (i - 1) + 1))
         labels.extend(f"word/{i}/{word}" for word in vertex_labels(base, i))
     if len(labels) != layout.total_vertices:
@@ -267,8 +278,7 @@ def _decode_edge_origin(u: np.ndarray, v: np.ndarray, n: int, t: int) -> tuple[n
 
 def _census_block(base: Graph, t: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """The level-``t`` edge block (0-based) and vertex degrees, checked as in :func:`sierpinski_graph`."""
-    if t < 2:
-        raise ValueError("census needs t >= 2")
+    t = _int_arg(t, 2)
     total = base.n ** t
     _check_budget(total, budget)
     block = _expansion_edge_block(base, t)

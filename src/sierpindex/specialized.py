@@ -10,9 +10,10 @@ variants that fail that audit, together with the diverging term.
 from __future__ import annotations
 
 import math
+import operator
 
 from .closedform import PolymericParts, _int_ratio
-from .construct import repunit
+from .construct import _int_arg, repunit
 from .graphs import IndexParams
 
 #: Formula variants seen in print that do not survive the construction-oracle
@@ -41,12 +42,9 @@ def sierpinski_regular(n: int, degree: int, triangles: int, t: int, alpha: float
     """Index of the level-``t`` expansion of a ``degree``-regular base with
     ``triangles`` triangles (corrected mixed-class coefficient, see
     :data:`DISPUTED_PRINTS`)."""
-    _check_regular(n, degree)
-    _check_triangles(n, degree, triangles)
-    if t < 2:
-        raise ValueError("t must be >= 2")
+    n, d = _check_regular(n, degree)
+    triangles, t = _check_triangles(n, d, triangles), _int_arg(t, 2)
     IndexParams(alpha)
-    d = degree
     psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
     lead = n ** (t - 2)
     same = _int_ratio(n ** (t - 1) * d * (n - 2 * d), 2) + 3 * lead * triangles
@@ -63,8 +61,7 @@ def sierpinski_regular(n: int, degree: int, triangles: int, t: int, alpha: float
 
 def sierpinski_complete(n: int, t: int, alpha: float) -> float:
     """Complete base on ``n`` vertices, ``n >= 2``."""
-    if n < 2 or t < 2:
-        raise ValueError("complete-base formula needs n >= 2 and t >= 2")
+    n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
     IndexParams(alpha)
     return n ** (alpha + 1) * (n - 1) ** (alpha + 1) + (
         n ** (2 * alpha + t + 1) - 2 * n ** (2 * alpha + 2) + n ** (2 * alpha + 1)
@@ -73,10 +70,7 @@ def sierpinski_complete(n: int, t: int, alpha: float) -> float:
 
 def sierpinski_cycle(n: int, t: int, alpha: float) -> float:
     """Cycle base, ``n >= 4`` (the 3-cycle is the complete graph on 3)."""
-    if n < 4:
-        raise ValueError("cycle formula needs n >= 4; a 3-cycle is a complete base")
-    if t < 2:
-        raise ValueError("t must be >= 2")
+    n, t = _int_arg(n, 4, "n"), _int_arg(t, 2)
     IndexParams(alpha)
     psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
     return math.fsum(
@@ -90,9 +84,8 @@ def sierpinski_cycle(n: int, t: int, alpha: float) -> float:
 
 def sierpinski_semiregular(n1: int, n2: int, d1: int, d2: int, t: int, alpha: float) -> float:
     """Bipartite base with uniform part degrees ``d1`` / ``d2``."""
-    _check_semiregular(n1, n2, d1, d2)
-    if t < 2:
-        raise ValueError("t must be >= 2")
+    n1, n2, d1, d2 = _check_semiregular(n1, n2, d1, d2)
+    t = _int_arg(t, 2)
     IndexParams(alpha)
     n = n1 + n2
     lead, psi2 = n ** (t - 2), repunit(n, t - 2)
@@ -108,10 +101,7 @@ def sierpinski_semiregular(n1: int, n2: int, d1: int, d2: int, t: int, alpha: fl
 
 def sierpinski_star(r: int, t: int, alpha: float) -> float:
     """Star base with ``r >= 2`` leaves."""
-    if r < 2:
-        raise ValueError("star formula needs r >= 2")
-    if t < 2:
-        raise ValueError("t must be >= 2")
+    r, t = _int_arg(r, 2, "r"), _int_arg(t, 2)
     IndexParams(alpha)
     return math.fsum(
         (
@@ -124,8 +114,7 @@ def sierpinski_star(r: int, t: int, alpha: float) -> float:
 
 def sierpinski_path(n: int, t: int, alpha: float) -> float:
     """Path base on ``n >= 2`` vertices (two-term form for ``n = 2``)."""
-    if n < 2 or t < 2:
-        raise ValueError("path formula needs n >= 2 and t >= 2")
+    n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
     IndexParams(alpha)
     if n == 2:
         return 2 ** (alpha + 1) + (2 ** t - 3) * 2 ** (2 * alpha)
@@ -145,21 +134,19 @@ def sierpinski_path(n: int, t: int, alpha: float) -> float:
 
 def polymeric_level1_regular(n: int, degree: int, alpha: float) -> float:
     """Level-1 polymeric index for a ``degree``-regular base."""
-    _check_regular(n, degree)
+    n, d = _check_regular(n, degree)
     IndexParams(alpha)
-    d = degree
     return n ** (alpha + 1) * (d + 1) ** alpha + n * d * (d + 1) ** (2 * alpha) / 2
 
 
 def polymeric_level1_complete(n: int, alpha: float) -> float:
-    if n < 2:
-        raise ValueError("complete base needs n >= 2")
+    n = _int_arg(n, 2, "n")
     IndexParams(alpha)
     return n ** (2 * alpha + 1) * (n + 1) / 2
 
 
 def polymeric_level1_semiregular(n1: int, n2: int, d1: int, d2: int, alpha: float) -> float:
-    _check_semiregular(n1, n2, d1, d2)
+    n1, n2, d1, d2 = _check_semiregular(n1, n2, d1, d2)
     IndexParams(alpha)
     n = n1 + n2
     return n ** alpha * (n1 * (d1 + 1) ** alpha + n2 * (d2 + 1) ** alpha) + n1 * d1 * (
@@ -169,12 +156,9 @@ def polymeric_level1_semiregular(n1: int, n2: int, d1: int, d2: int, alpha: floa
 
 def polymeric_regular(n: int, degree: int, triangles: int, t: int, alpha: float) -> PolymericParts:
     """Seven-part polymeric index for a ``degree``-regular base, ``t >= 2``."""
-    _check_regular(n, degree)
-    _check_triangles(n, degree, triangles)
-    if t < 2:
-        raise ValueError("the seven-part form needs t >= 2; use the level-1 formula")
+    n, d = _check_regular(n, degree)
+    tau, t = _check_triangles(n, d, triangles), _int_arg(t, 2)
     IndexParams(alpha)
-    d, tau = degree, triangles
     psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
     lead = n ** (t - 2)
     hubp = (n + 1) ** alpha
@@ -208,10 +192,7 @@ def polymeric_regular(n: int, degree: int, triangles: int, t: int, alpha: float)
 
 def polymeric_complete(n: int, t: int, alpha: float) -> PolymericParts:
     """Seven-part polymeric index for a complete base, ``t >= 2``."""
-    if n < 2:
-        raise ValueError("complete base needs n >= 2")
-    if t < 2:
-        raise ValueError("the seven-part form needs t >= 2; use the level-1 formula")
+    n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
     IndexParams(alpha)
     psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
     q1, q2 = (n + 1) ** alpha, (n + 1) ** (2 * alpha)
@@ -262,6 +243,7 @@ _POLYMERIC_DISPATCH = {"complete": polymeric_complete, "regular": polymeric_regu
 def polymeric_specialized(family: str, params: tuple, t: int, alpha: float) -> float | PolymericParts:
     """Dispatch to a polymeric family formula; level 1 returns a plain value,
     higher levels return the seven-part split."""
+    t = _int_arg(t, 1)
     table = _POLYMERIC_LEVEL1_DISPATCH if t == 1 else _POLYMERIC_DISPATCH
     try:
         fn = table[family]
@@ -270,24 +252,34 @@ def polymeric_specialized(family: str, params: tuple, t: int, alpha: float) -> f
     return fn(*params, alpha) if t == 1 else fn(*params, t, alpha)
 
 
-def _check_regular(n: int, degree: int) -> None:
-    if n < 2 or not 1 <= degree <= n - 1 or (n * degree) % 2:
+def _check_regular(n: int, degree: int) -> tuple[int, int]:
+    n, degree = _int_arg(n, 2, "n"), _int_arg(degree, 1, "degree")
+    if degree > n - 1 or (n * degree) % 2:
         raise ValueError("not a valid regular degree profile")
+    return n, degree
 
 
-def _check_triangles(n: int, d: int, triangles: int) -> None:
-    """An edge's triangles (common neighbours) lie in ``[2d - n, d - 1]``, so no
-    class count is < 0; these bounds are only necessary for ``3 <= d <= n - 3``.
-    A 2-regular base is disjoint cycles: its triangles are 3-cycles and every
-    other cycle has at least 4 vertices. An (n-2)-regular base is ``K_n`` minus
-    a perfect matching, with exactly ``n(n-2)(n-4)/6`` triangles."""
-    bounded = max(0, n * d * (2 * d - n)) <= 6 * triangles <= n * d * (d - 1)
-    cycles = d != 2 or n - 3 * triangles not in (1, 2, 3)
-    matching = d != n - 2 or 6 * triangles == n * (n - 2) * (n - 4)
-    if not (bounded and cycles and matching):
-        raise ValueError(f"{triangles} triangles is impossible for a {d}-regular base on {n} vertices")
+def _check_triangles(n: int, d: int, triangles: int) -> int:
+    """``triangles`` as an int, refused when no ``d``-regular graph on ``n``
+    vertices has that many. Two rules hold for the base and for its complement,
+    which is ``(n-1-d)``-regular with ``C(n, 3) - n*d*(n-1-d)/2 - triangles``
+    triangles (Goodman's identity): an edge's triangles (common neighbours) lie
+    in ``[2d - n, d - 1]``, so no class count is < 0; and a 2-regular graph is
+    disjoint cycles, its triangles 3-cycles and every other cycle on at least
+    4 vertices. The rules are exact unless ``3 <= d <= n - 4``, where they are
+    only necessary."""
+    triangles = operator.index(triangles)
+    complement = math.comb(n, 3) - n * d * (n - 1 - d) // 2 - triangles
+    for k, tri in ((d, triangles), (n - 1 - d, complement)):
+        bounded = max(0, n * k * (2 * k - n)) <= 6 * tri <= n * k * (k - 1)
+        if not bounded or k == 2 and n - 3 * tri in (1, 2, 3):
+            raise ValueError(f"{triangles} triangles is impossible for a {d}-regular base on {n} vertices")
+    return triangles
 
 
-def _check_semiregular(n1: int, n2: int, d1: int, d2: int) -> None:
-    if min(n1, n2, d1, d2) < 1 or d1 > n2 or d2 > n1 or n1 * d1 != n2 * d2:
+def _check_semiregular(n1: int, n2: int, d1: int, d2: int) -> tuple[int, int, int, int]:
+    n1, n2 = _int_arg(n1, 1, "n1"), _int_arg(n2, 1, "n2")
+    d1, d2 = _int_arg(d1, 1, "d1"), _int_arg(d2, 1, "d2")
+    if d1 > n2 or d2 > n1 or n1 * d1 != n2 * d2:
         raise ValueError("not a valid bipartite semiregular degree profile")
+    return n1, n2, d1, d2

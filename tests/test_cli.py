@@ -236,6 +236,26 @@ def test_verify_compiles_once_per_graph_variant_and_alpha(capsys, k3_file, monke
     assert sorted(compiled) == [(-0.5, "P"), (-0.5, "S"), (2.0, "P"), (2.0, "S")]
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-0.0001"])
+def test_verify_refuses_a_negative_or_non_finite_tolerance(capsys, k3_file, tol):
+    # nan used to fail every cell (exit 1), a negative one to fall back to the 1e-12 floor
+    rc, out, err = run(capsys, "verify", k3_file, "--t", "2", "--alpha", "-0.5", "--tol", tol)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --tol must be finite and >= 0") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["verify", "--t", "0..2"], ["bench", "--t", "0..2"], ["expand", "--variant", "P", "--t", "0"],
+                                  ["closed", "--variant", "S", "--t", "0", "--alpha", "1"]])
+def test_levels_below_one_are_refused_with_the_library_message(capsys, k3_file, argv):
+    rc, out, err = run(capsys, argv[0], k3_file, *argv[1:])
+    assert (rc, out, err) == (2, "", "error: t must be >= 1\n")
+
+
+def test_verify_accepts_a_zero_tolerance(capsys, k3_file):
+    rc, out, _ = run(capsys, "verify", k3_file, "--variant", "S", "--t", "2", "--alpha", "1", "--tol", "0")
+    assert rc == 0 and "1 cells: 1 ok" in out
+
+
 def test_verify_includes_polymeric_level_one(capsys, k3_file):
     rc, out, _ = run(capsys, "verify", k3_file, "--variant", "P", "--t", "1",
                      "--alpha", "-0.5")

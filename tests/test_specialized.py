@@ -56,11 +56,14 @@ def test_regular_formulas_refuse_impossible_triangle_counts(key):
             sx.polymeric_regular(n, d, tau, 2, -0.5)
 
 
-@pytest.mark.parametrize("n, d, tau", [(4, 2, 1), (5, 2, 1), (6, 2, 1), (7, 2, 2), (6, 4, 9), (8, 6, 33)])
+@pytest.mark.parametrize("n, d, tau", [(4, 2, 1), (5, 2, 1), (6, 2, 1), (7, 2, 2), (6, 4, 9), (8, 6, 33),
+                                      (6, 3, 1), (7, 4, 5)])
 def test_regular_formulas_refuse_counts_no_2_or_n_minus_2_regular_base_has(n, d, tau):
     # inside the per-edge bounds, yet no such graph exists: a 2-regular base's
     # triangles are 3-cycles among cycles of 4+ vertices (n - 3*tau is 0 or >= 4),
-    # an (n-2)-regular base is K_n minus a perfect matching (6*tau = n(n-2)(n-4))
+    # an (n-2)-regular base is K_n minus a perfect matching (6*tau = n(n-2)(n-4)),
+    # and the complement of an (n-3)-regular base is 2-regular with
+    # C(n, 3) - n*d*(n-1-d)/2 - tau triangles: 1 on 6 vertices, 2 on 7 above
     assert max(0, n * d * (2 * d - n)) <= 6 * tau <= n * d * (d - 1)
     with pytest.raises(ValueError, match=f"{tau} triangles is impossible"):
         sx.sierpinski_regular(n, d, tau, 2, -0.5)
@@ -77,6 +80,30 @@ def test_regular_formulas_accept_counts_a_base_has(n, d, tau, build):
     g = build()
     assert sx.triangle_count(g) == tau
     assert rel_close(sx.sierpinski_regular(n, d, tau, 3, -0.5), sx.sierpinski_randic(g, 3, -0.5).value)
+
+
+def _regular_formula_accepts(n, d, tau):
+    try:
+        sx.sierpinski_regular(n, d, tau, 2, -0.5)
+    except ValueError:
+        return False
+    return True
+
+
+def test_regular_formulas_accept_exactly_the_triangle_counts_small_regular_graphs_have():
+    # every graph on up to 7 vertices: the (n, d, triangles) triples regular
+    # graphs realise are exactly those the formula accepts (its rules are exact
+    # for n <= 7, where 3 <= d <= n - 4 leaves only the impossible n = 7, d = 3)
+    nx = pytest.importorskip("networkx")
+    realised = set()
+    for g in nx.graph_atlas_g():
+        degrees = {d for _, d in g.degree()}
+        if len(degrees) == 1 and min(degrees) >= 1:
+            realised.add((g.number_of_nodes(), degrees.pop(), sum(nx.triangles(g).values()) // 3))
+    accepted = {(n, d, tau) for n in range(2, 8) for d in range(1, n) for tau in range(-1, math.comb(n, 3) + 2)
+                if _regular_formula_accepts(n, d, tau)}
+    assert len(realised) == 19
+    assert accepted == realised
 
 
 def test_sierpinski_regular_names_its_level_bound():
