@@ -18,6 +18,7 @@ value past the double range raises :class:`OverflowError`.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -66,7 +67,7 @@ def _counters(n: int, dx: int, dy: int, tau: int, lead: int, rep: int) -> tuple[
 def edge_class_counts(base: Graph, x: int, y: int, t: int) -> EdgeClassCounts:
     """Exact copies of base edge ``{x, y}`` in the level-``t`` expansion,
     split by endpoint degree increments; equals the explicit census."""
-    t = _int_arg(t, 2)
+    x, y, t = operator.index(x), operator.index(y), _int_arg(t, 2)
     if x > y:
         x, y = y, x
     tau = triangles_on_edge(base, x, y)  # validates the edge
@@ -78,7 +79,7 @@ def edge_class_counts(base: Graph, x: int, y: int, t: int) -> EdgeClassCounts:
 def vertex_class_counts(base: Graph, x: int, t: int) -> VertexClassCounts:
     """Exact copies of base vertex ``x`` in the level-``t`` expansion, split
     by kept degree (``c0``) vs degree + 1 (``c1``)."""
-    t = _int_arg(t, 2)
+    x, t = operator.index(x), _int_arg(t, 2)
     bumped = base.degree(x) * repunit(base.n, t - 1)
     return VertexClassCounts(x, base.n ** (t - 1) - bumped, bumped)
 
@@ -423,6 +424,7 @@ def sierpinski_randic(
     its class ``(dx, dy, tau)``. One :func:`compile_index`, one
     :meth:`LevelForm.at`.
     """
+    t = _int_arg(t, 1)  # refuse a level before the compile
     return compile_index(base, params, "S").at(t, include_breakdown)
 
 
@@ -440,6 +442,7 @@ def polymeric_randic(
     value splits into the seven :class:`PolymericParts` edge groups. One
     :func:`compile_index`, one :meth:`LevelForm.at`.
     """
+    t = _int_arg(t, 1)  # refuse a level before the compile
     return compile_index(base, params, "P").at(t, include_breakdown)
 
 
@@ -452,7 +455,8 @@ def sierpinski_randic_bounds(base: Graph, t: int, alpha: float) -> tuple[float, 
     its extreme over the degree range and each degree-class counter with its
     extreme; both bounds collapse to the exact value precisely when the base
     is regular. Requires minimum degree >= 1 and a degree spread small enough
-    that the substituted factors stay nonnegative (checked).
+    that the substituted factors stay nonnegative (checked). A bound past the
+    double range raises :class:`OverflowError`.
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
@@ -485,5 +489,11 @@ def sierpinski_randic_bounds(base: Graph, t: int, alpha: float) -> tuple[float, 
             + (lead + (2 * d_in + 1) * rep) * (r_base + e * m_next + m_edges * e * e)
         )
 
-    return envelope(dmin, dmax, e_lo), envelope(dmax, dmin, e_hi)
+    try:
+        bounds = envelope(dmin, dmax, e_lo), envelope(dmax, dmin, e_hi)
+        if all(map(math.isfinite, bounds)):
+            return bounds
+    except OverflowError:  # a level count too large for a float
+        pass
+    raise OverflowError(f"float S bounds at t={t}, alpha={alpha:g} exceed the double range")
 

@@ -1,10 +1,14 @@
 """Family-specific closed forms for the expansion indices.
 
-Each function evaluates a reduced formula for one base family (complete,
-cycle, star, path, regular, bipartite semiregular). The test suite checks
-every formula against the general evaluators and against explicit
-construction; :data:`DISPUTED_PRINTS` records the circulating formula
-variants that fail that audit, together with the diverging term.
+Each function reduces one base family (complete, cycle, star, path, regular,
+bipartite semiregular) to a table of exact ``(count, a, b)`` terms, ``count``
+expansion edges with end degrees ``a`` and ``b``, weighed under the closed
+form's float contract: the value equals the general evaluator's bit for bit,
+and one past the double range raises :class:`OverflowError`. The tables share
+no code with the compile in :mod:`.closedform`, so they check its counting; the
+test suite also checks them against explicit construction.
+:data:`DISPUTED_PRINTS` records the circulating formula variants that fail that
+audit, together with the diverging term.
 """
 
 from __future__ import annotations
@@ -44,90 +48,53 @@ def sierpinski_regular(n: int, degree: int, triangles: int, t: int, alpha: float
     :data:`DISPUTED_PRINTS`)."""
     n, d = _check_regular(n, degree)
     triangles, t = _check_triangles(n, d, triangles), _int_arg(t, 2)
-    IndexParams(alpha)
-    psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
-    lead = n ** (t - 2)
-    same = _int_ratio(n ** (t - 1) * d * (n - 2 * d), 2) + 3 * lead * triangles
-    mixed = (n ** (t - 1) - n * psi2) * d * d - 6 * lead * triangles
-    bumped = _int_ratio(n * d * psi1, 2) + n * d * d * psi2 + 3 * lead * triangles
-    return math.fsum(
-        (
-            same * d ** (2 * alpha),
-            mixed * d ** alpha * (d + 1) ** alpha,
-            bumped * (d + 1) ** (2 * alpha),
-        )
-    )
+    return _weigh(alpha, _regular_copies(n, d, triangles, n ** (t - 2), repunit(n, t - 2), 0))
 
 
 def sierpinski_complete(n: int, t: int, alpha: float) -> float:
     """Complete base on ``n`` vertices, ``n >= 2``."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
-    IndexParams(alpha)
-    return n ** (alpha + 1) * (n - 1) ** (alpha + 1) + (
-        n ** (2 * alpha + t + 1) - 2 * n ** (2 * alpha + 2) + n ** (2 * alpha + 1)
-    ) / 2
+    return _weigh(alpha, ((n * (n - 1), n - 1, n), (_int_ratio(n ** (t + 1) - 2 * n * n + n, 2), n, n)))
 
 
 def sierpinski_cycle(n: int, t: int, alpha: float) -> float:
     """Cycle base, ``n >= 4`` (the 3-cycle is the complete graph on 3)."""
     n, t = _int_arg(n, 4, "n"), _int_arg(t, 2)
-    IndexParams(alpha)
-    psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
-    return math.fsum(
-        (
-            4 ** alpha * n ** (t - 1) * (n - 4),
-            4 * 6 ** alpha * (n ** (t - 1) - n * psi2),
-            9 ** alpha * n * (psi1 + 4 * psi2),
-        )
-    )
+    lead, psi2 = n ** (t - 2), repunit(n, t - 2)
+    return _weigh(alpha, ((n * (n - 4) * lead, 2, 2), (4 * n * (lead - psi2), 2, 3), (n * (lead + 5 * psi2), 3, 3)))
 
 
 def sierpinski_semiregular(n1: int, n2: int, d1: int, d2: int, t: int, alpha: float) -> float:
     """Bipartite base with uniform part degrees ``d1`` / ``d2``."""
-    n1, n2, d1, d2 = _check_semiregular(n1, n2, d1, d2)
-    t = _int_arg(t, 2)
-    IndexParams(alpha)
-    n = n1 + n2
+    (n1, n2, d1, d2), t = _check_semiregular(n1, n2, d1, d2), _int_arg(t, 2)
+    n, m = n1 + n2, n1 * d1
     lead, psi2 = n ** (t - 2), repunit(n, t - 2)
-    return math.fsum(
-        (
-            n1 * lead * d1 ** (alpha + 1) * d2 ** alpha * (n - d1 - d2),
-            n1 * d1 ** (alpha + 1) * (d2 + 1) ** alpha * (d2 * lead - d1 * psi2),
-            n2 * (d1 + 1) ** alpha * d2 ** (alpha + 1) * (d1 * lead - d2 * psi2),
-            n1 * d1 * (d1 + 1) ** alpha * (d2 + 1) ** alpha * (lead + (d1 + d2 + 1) * psi2),
-        )
-    )
+    return _weigh(alpha, (
+        (m * (n - d1 - d2) * lead, d1, d2), (m * (d2 * lead - d1 * psi2), d1, d2 + 1),
+        (m * (d1 * lead - d2 * psi2), d1 + 1, d2), (m * (lead + (d1 + d2 + 1) * psi2), d1 + 1, d2 + 1)))
 
 
 def sierpinski_star(r: int, t: int, alpha: float) -> float:
     """Star base with ``r >= 2`` leaves."""
     r, t = _int_arg(r, 2, "r"), _int_arg(t, 2)
-    IndexParams(alpha)
-    return math.fsum(
-        (
-            (r + 1) ** alpha * ((r + 1) ** (t - 1) * (r - 1) + 1),
-            2 ** alpha * r ** (alpha + 1),
-            (2 * (r + 1)) ** alpha * (2 * (r + 1) ** (t - 1) - r - 2),
-        )
-    )
+    top = (r + 1) ** (t - 1)
+    return _weigh(alpha, (((r - 1) * top + 1, 1, r + 1), (r, 2, r), (2 * top - r - 2, 2, r + 1)))
 
 
 def sierpinski_path(n: int, t: int, alpha: float) -> float:
     """Path base on ``n >= 2`` vertices (two-term form for ``n = 2``)."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
-    IndexParams(alpha)
     if n == 2:
-        return 2 ** (alpha + 1) + (2 ** t - 3) * 2 ** (2 * alpha)
+        return _weigh(alpha, ((2, 1, 2), (2 ** t - 3, 2, 2)))
     lead, psi2 = n ** (t - 2), repunit(n, t - 2)
-    return math.fsum(
-        (
-            2 ** alpha * lead * (n - 3) * (2 ** alpha * n - 2 ** (alpha + 2) + 2),
-            3 ** alpha * (2 ** (alpha + 2) * (n - 3) * (lead - psi2) + 4 * lead - 2 * psi2),
-            2 ** (2 * alpha + 1) * (lead - 2 * psi2),
-            3 ** alpha
-            * (3 ** alpha * (n - 3) * (lead + 5 * psi2) + 2 ** (alpha + 1) * (lead + 4 * psi2)),
-        )
+    terms = (
+        (2 * (n - 3) * lead, 1, 2),
+        (4 * lead - 2 * psi2, 1, 3),
+        ((n * n - 7 * n + 14) * lead - 4 * psi2, 2, 2),
+        ((4 * n - 10) * lead - (4 * n - 20) * psi2, 2, 3),
+        ((n - 3) * (lead + 5 * psi2), 3, 3),
     )
+    return _weigh(alpha, terms if n > 3 else terms[:4])  # a 3-path has no edge of two inner vertices
 
 
 # -- polymeric families ---------------------------------------------------------
@@ -135,78 +102,80 @@ def sierpinski_path(n: int, t: int, alpha: float) -> float:
 def polymeric_level1_regular(n: int, degree: int, alpha: float) -> float:
     """Level-1 polymeric index for a ``degree``-regular base."""
     n, d = _check_regular(n, degree)
-    IndexParams(alpha)
-    return n ** (alpha + 1) * (d + 1) ** alpha + n * d * (d + 1) ** (2 * alpha) / 2
+    return _weigh(alpha, ((n, n, d + 1), (_int_ratio(n * d, 2), d + 1, d + 1)))
 
 
 def polymeric_level1_complete(n: int, alpha: float) -> float:
     n = _int_arg(n, 2, "n")
-    IndexParams(alpha)
-    return n ** (2 * alpha + 1) * (n + 1) / 2
+    return _weigh(alpha, ((_int_ratio(n * (n + 1), 2), n, n),))
 
 
 def polymeric_level1_semiregular(n1: int, n2: int, d1: int, d2: int, alpha: float) -> float:
     n1, n2, d1, d2 = _check_semiregular(n1, n2, d1, d2)
-    IndexParams(alpha)
     n = n1 + n2
-    return n ** alpha * (n1 * (d1 + 1) ** alpha + n2 * (d2 + 1) ** alpha) + n1 * d1 * (
-        (d1 + 1) * (d2 + 1)
-    ) ** alpha
+    return _weigh(alpha, ((n1, n, d1 + 1), (n2, n, d2 + 1), (n1 * d1, d1 + 1, d2 + 1)))
 
 
 def polymeric_regular(n: int, degree: int, triangles: int, t: int, alpha: float) -> PolymericParts:
     """Seven-part polymeric index for a ``degree``-regular base, ``t >= 2``."""
     n, d = _check_regular(n, degree)
     tau, t = _check_triangles(n, d, triangles), _int_arg(t, 2)
-    IndexParams(alpha)
     psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
-    lead = n ** (t - 2)
-    hubp = (n + 1) ** alpha
-    p1, p2, p3 = (d + 1) ** alpha, (d + 2) ** alpha, (d + 3) ** alpha
     # telescoped level sums, exactly integral
     mid_hub = _int_ratio(t - 2 - n * psi2, 1 - n)     # sum_{i=2..t-1} repunit(i-1)
     mid_copy = _int_ratio(t - 2 - psi2, 1 - n)        # sum_{i=2..t-1} repunit(i-2)
     links = _int_ratio(t - 1 - psi1, 1 - n)           # sum_{i=1..t-1} repunit(i-1)
-
-    hub_root = n ** (alpha + 1) * p2
-    first_copy = _int_ratio(n * d, 2) * p2 * p2
-    hub_mid = hubp * (n * n * psi2 * p2 + n * d * mid_hub * (p3 - p2))
-    copies_mid = math.fsum(
-        (
-            p2 * p2 * psi2 * (_int_ratio(n * d * (n - 2 * d), 2) + 3 * tau),
-            p2 * p3 * ((n * d * d - 6 * tau) * psi2 - n * d * d * mid_copy),
-            p3 * p3 * ((3 * tau + _int_ratio(n * d, 2)) * psi2 + _int_ratio(n * d * (2 * d + 1), 2) * mid_copy),
-        )
+    nd, hub = n * d, n + 1  # a hub below the root has degree n + 1
+    tables = (
+        ((n, n, d + 2),),
+        ((_int_ratio(nd, 2), d + 2, d + 2),),
+        ((n * n * psi2 - nd * mid_hub, hub, d + 2), (nd * mid_hub, hub, d + 3)),
+        _regular_copies(n, d, tau, psi2, mid_copy, 2),
+        ((n * psi1 - nd * links, hub, d + 2), (nd * links, hub, d + 3)),
+        ((n ** t - nd * psi1, hub, d + 1), (nd * psi1, hub, d + 2)),
+        _regular_copies(n, d, tau, n ** (t - 2), psi2, 1),
     )
-    level_links = hubp * (n * psi1 * p2 + n * d * links * (p3 - p2))
-    hub_top = hubp * (p1 * (n ** t - n * d * psi1) + n * d * psi1 * p2)
-    copies_top = math.fsum(
-        (
-            p1 * p1 * lead * (_int_ratio(n * d * (n - 2 * d), 2) + 3 * tau),
-            p1 * p2 * (d * d * (n ** (t - 1) - n * psi2) - 6 * lead * tau),
-            p2 * p2 * (_int_ratio(n * d * psi1, 2) + n * d * d * psi2 + 3 * lead * tau),
-        )
-    )
-    return PolymericParts(hub_root, first_copy, hub_mid, copies_mid, level_links, hub_top, copies_top)
+    return PolymericParts(*(_weigh(alpha, table) for table in tables))
 
 
 def polymeric_complete(n: int, t: int, alpha: float) -> PolymericParts:
     """Seven-part polymeric index for a complete base, ``t >= 2``."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
-    IndexParams(alpha)
     psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
-    q1, q2 = (n + 1) ** alpha, (n + 1) ** (2 * alpha)
-    r1 = (n + 2) ** alpha
-    return PolymericParts(
-        n ** (alpha + 1) * q1,
-        _int_ratio(n * (n - 1), 2) * q2,
-        n * (t - 2) * q2 + n * q1 * r1 * (2 + n * psi2 - t),
-        (t - 2) * n * (n - 1) * q1 * r1
-        + (n + 2) ** (2 * alpha) * _int_ratio(n ** 3 * psi2 + (t - 2) * (n - 2 * n * n), 2),
-        (t - 1) * n * q2 + n * q1 * r1 * (psi1 - (t - 1)),
-        n ** (alpha + 1) * q1 + (n ** t - n) * q2,
-        (n - 1) * n ** (alpha + 1) * q1 + _int_ratio(n ** (t + 1) - 2 * n * n + n, 2) * q2,
+    tables = (
+        ((n, n, n + 1),),
+        ((_int_ratio(n * (n - 1), 2), n + 1, n + 1),),
+        ((n * (t - 2), n + 1, n + 1), (n * (2 + n * psi2 - t), n + 1, n + 2)),
+        ((n * (n - 1) * (t - 2), n + 1, n + 2),
+         (_int_ratio(n ** 3 * psi2 + (t - 2) * (n - 2 * n * n), 2), n + 2, n + 2)),
+        ((n * (t - 1), n + 1, n + 1), (n * (psi1 - t + 1), n + 1, n + 2)),
+        ((n, n, n + 1), (n ** t - n, n + 1, n + 1)),
+        ((n * (n - 1), n, n + 1), (_int_ratio(n ** (t + 1) - 2 * n * n + n, 2), n + 1, n + 1)),
     )
+    return PolymericParts(*(_weigh(alpha, table) for table in tables))
+
+
+def _regular_copies(n: int, d: int, tau: int, lead: int, rep: int, shift: int) -> tuple:
+    """Edge copies of a ``d``-regular base with ``tau`` triangles at end degrees
+    ``d + shift`` and up: ``lead`` per level, ``rep`` carried over from deeper
+    levels (``n**(t-2)`` and ``repunit(n, t-2)`` at level ``t``)."""
+    a = d + shift
+    return (
+        (lead * (_int_ratio(n * d * (n - 2 * d), 2) + 3 * tau), a, a),
+        (n * d * d * (lead - rep) - 6 * lead * tau, a, a + 1),
+        (lead * (_int_ratio(n * d, 2) + 3 * tau) + rep * _int_ratio(n * d * (2 * d + 1), 2), a + 1, a + 1),
+    )
+
+
+def _weigh(alpha: float, terms) -> float:
+    """The sum of ``count * fl(a**alpha * b**alpha)`` over ``(count, a, b)`` terms,
+    correctly rounded: the weights as exact ratios over powers of two, summed
+    exactly, then one int/int division, which raises past the double range. Like
+    the closed form, it weighs every class listed, one with no edges too."""
+    alpha = float(IndexParams(alpha).alpha)  # an int alpha would give exact int powers
+    ratios = [(c, *(a ** alpha * b ** alpha).as_integer_ratio()) for c, a, b in terms]
+    den = max(d for _, _, d in ratios)
+    return sum(c * num * (den // d) for c, num, d in ratios) / den
 
 
 # -- dispatchers -----------------------------------------------------------------

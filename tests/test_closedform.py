@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -61,6 +62,17 @@ def test_vertex_counts_refuse_ids_outside_the_base(x):
     # Graph.degree's GraphError is a ValueError and names the id and the range
     with pytest.raises(ValueError, match=rf"vertex id {x} out of range 1\.\.3"):
         sx.vertex_class_counts(sx.complete_graph(3), x, 2)
+
+
+def test_class_counts_convert_numpy_vertex_ids():
+    demo = sx.demo_graph()
+    edge = sx.edge_class_counts(demo, np.int64(2), np.int64(1), 3)
+    vertex = sx.vertex_class_counts(demo, np.int64(1), 3)
+    assert (edge, vertex) == (sx.edge_class_counts(demo, 1, 2, 3), sx.vertex_class_counts(demo, 1, 3))
+    for record in (edge, vertex):
+        fields = dataclasses.asdict(record)
+        assert all(type(v) is int for v in fields.values()), fields
+        assert json.loads(json.dumps(fields)) == fields
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -284,6 +296,21 @@ def test_level_form_evaluates_without_recompiling(corpus, monkeypatch):
                                           for t in range(1, 30)]
 
 
+@pytest.mark.parametrize("closed", [sx.sierpinski_randic, sx.polymeric_randic])
+def test_a_refused_level_is_refused_before_the_compile(closed, monkeypatch):
+    calls = []
+    real = sx.closedform.edge_triangles
+    monkeypatch.setattr(sx.closedform, "edge_triangles", lambda g: calls.append(g) or real(g))
+    g = sx.demo_graph()
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        closed(g, 0, -0.5)
+    with pytest.raises(TypeError):
+        closed(g, 2.0, -0.5)
+    assert calls == []
+    closed(g, np.int64(1), -0.5)
+    assert len(calls) == 1
+
+
 def test_compile_index_validates_its_arguments():
     k3 = sx.complete_graph(3)
     with pytest.raises(ValueError, match="variant must be 'S' or 'P'"):
@@ -304,6 +331,14 @@ def test_float_overflow_is_refused_not_returned(closed, t, alpha):
         closed(k5, t, alpha)
     # the true values are past 1e308, as exact mode shows
     assert closed(k5, t, sx.IndexParams(int(alpha), exact=True)).exact > 10 ** 308
+
+
+@pytest.mark.parametrize("t, alpha", [(394, 2.0), (2, 323.0), (3000, 2.0)])
+def test_bounds_past_the_double_range_are_refused_not_returned(t, alpha):
+    # (394, 2): the level counts times the base sums reach inf; (2, 323): the
+    # squared degree increment does; (3000, 2): a level count is past a float
+    with pytest.raises(OverflowError, match=f"float S bounds at t={t}, alpha={alpha:g} exceed the double range"):
+        sx.sierpinski_randic_bounds(sx.cycle_graph(6), t, alpha)
 
 
 # -- polymeric index --------------------------------------------------------------------
