@@ -52,6 +52,7 @@ from .closedform import (
     PolymericParts,
     SierpinskiBreakdown,
     compile_index,
+    count_table,
     edge_class_counts,
     polymeric_randic,
     sierpinski_randic,

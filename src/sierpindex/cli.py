@@ -137,10 +137,12 @@ def _cmd_verify(args) -> int:
     for path in args.graphs:
         base = _load_graph(path)
         for variant in variants:
-            forms = None  # one compile per alpha, after the first build has passed the budget
+            forms = None  # one count table, weighed per alpha, after the first build has passed the budget
             for t in ts:
                 built = _VARIANTS[variant].build(base, t, budget)
-                forms = forms or {alpha: closedform.compile_index(base, alpha, variant) for alpha in alphas}
+                if forms is None:
+                    table = closedform.count_table(base, variant)
+                    forms = {alpha: table.weigh(alpha) for alpha in alphas}
                 for alpha in alphas:
                     closed = forms[alpha].at(t).value
                     oracle = graphs.randic_index(built, alpha)

@@ -2,17 +2,20 @@
 
 Instead of building the level-``t`` expansion (``n**t`` vertices), the index
 is assembled from exact per-edge and per-vertex degree-class counters of the
-base graph. Once the base, ``alpha`` and the variant are fixed, every counter
-is affine in ``n**(t-2)`` (and, for the polymeric expansion, in ``t``), so
-:func:`compile_index` sums the whole index once into integer coefficients
-over ``(n**(t-2), t, 1)`` and :meth:`LevelForm.at` evaluates any level with
-one power of ``n`` and one division.
+base graph. Once the base and the variant are fixed, the expansion's edges
+with end degrees ``a`` and ``b`` number an affine function of ``n**(t-2)``
+(and, for the polymeric expansion, of ``t``): :func:`count_table` holds those
+counts, alpha-free, and :meth:`CountTable.weigh` sums them, weighed, once
+into integer coefficients over ``(n**(t-2), t, 1)``, so that
+:meth:`LevelForm.at` evaluates any level with one power of ``n`` and one
+division. :func:`compile_index` is the two in a row.
 
 Exact mode (integer ``alpha >= 1``) returns the integer index. Float mode
 returns the correctly rounded value of the exact sum, over the expansion's
 edges, of ``fl(a**alpha * b**alpha)`` for end degrees ``a`` and ``b``: each
 power and each product is rounded once, and the sum once more at the end. A
-value past the double range raises :class:`OverflowError`.
+value past the double range raises :class:`OverflowError`; a degree class with
+no edges at a level is not weighed there.
 """
 
 from __future__ import annotations
@@ -214,29 +217,199 @@ def _report(variant: str, t: int, p: IndexParams, total: Number, breakdown) -> I
     return IndexReport(variant, t, p.alpha, _float_or_none(total), exact, breakdown, "closed-form")
 
 
-# -- the compiled level form ----------------------------------------------------
+# -- the count table and its weigher --------------------------------------------
+
+Triple = tuple[int, int, int]
+#: (basis, column) groups: a numerator triple over ``(n**(t-2), t, 1)`` and
+#: ``(n-1)**2``, and the name of a column of coefficients per lifted pair
+Part = tuple[tuple[Triple, str], ...]
+
 
 def _degree_pairs(base: Graph, deg: np.ndarray, tau: np.ndarray) -> dict[tuple[int, int], list[int]]:
-    """``[edges, triangles on them]`` per ordered end-degree pair ``(dx, dy)``;
+    """``[edges, triangles on them]`` per sorted end-degree pair ``(dx, dy)``;
     every counter is linear in an edge's triangles ``tau``. Refuses ``tau``
     outside ``[max(0, dx + dy - n), min(dx, dy) - 1]``, the range where all
     four counters are nonnegative at every level ``t >= 2``."""
-    e, n, pairs = base.edges, base.n, {}
-    for (dx, dy, k), size in Counter(zip(deg[e[:, 0]].tolist(), deg[e[:, 1]].tolist(), tau.tolist())).items():
+    n, pairs = base.n, {}
+    for (dx, dy, k), size in Counter(zip(*deg[base.edges].T.tolist(), tau.tolist())).items():
         if k < 0 or k < dx + dy - n or k >= dx or k >= dy:
             raise ArithmeticError(f"{k} triangles on an edge with end degrees {dx} and {dy} of a base on {n} vertices")
-        acc = pairs.setdefault((dx, dy), [0, 0])
+        acc = pairs.setdefault((dx, dy) if dx <= dy else (dy, dx), [0, 0])
         acc[0], acc[1] = acc[0] + size, acc[1] + size * k
     return pairs
 
 
-def _affine(*terms) -> tuple[int, int, int]:
-    """``sum(scalar * basis)`` over ``(N, t, 1)`` for ``(basis, scalar)`` terms."""
-    a = b = c = 0
-    for (x, y, z), scalar in terms:
-        a, b, c = a + x * scalar, b + y * scalar, c + z * scalar
-    return a, b, c
+def _copies(n: int, pairs: dict, shift: int) -> tuple[dict, dict]:
+    """One copy group of the base edges at base degree + ``shift``: the
+    :func:`_counters` coefficients of their lead and of their repunit, summed
+    per lifted pair."""
+    lead, rep = {}, {}
+    at_lead, at_rep = lead.get, rep.get
+    for (dx, dy), (size, k) in pairs.items():
+        a, b = dx + shift, dy + shift
+        up, right, both = (a, b + 1), (a + 1, b) if a < b else (a, a + 1), (a + 1, b + 1)
+        lead[a, b] = at_lead((a, b), 0) + size * (n - dx - dy) + k
+        lead[up] = at_lead(up, 0) + size * dy - k
+        lead[right] = at_lead(right, 0) + size * dx - k
+        lead[both] = at_lead(both, 0) + size + k
+        rep[up] = at_rep(up, 0) - size * dx
+        rep[right] = at_rep(right, 0) - size * dy
+        rep[both] = at_rep(both, 0) + size * (dx + dy + 1)
+    return lead, rep
 
+
+def _weights(p: IndexParams, pairs: set) -> tuple[dict[tuple[int, int], int], set, int, dict[int, Number]]:
+    """The one weigher: ``fl(a**alpha * b**alpha) * 2**E`` per pair ``(a, b)``
+    as an exact integer (the exact product in exact mode, with ``E = 0``); also
+    the pairs whose weight is past the double range (weighed 0), ``E`` and the
+    powers ``k**alpha``."""
+    alpha, powers, weights, over = p.int_alpha if p.exact else p.alpha, {}, {}, set()
+    for k in {k for pair in pairs for k in pair}:
+        try:
+            powers[k] = k ** alpha
+        except OverflowError:
+            powers[k] = math.inf
+    if p.exact:
+        return {(a, b): powers[a] * powers[b] for a, b in pairs}, over, 0, powers
+    # fl(pa * pb) * 2**E is an integer: its last bit is at least 2**(ea + eb - 54)
+    # for frexp exponents ea, eb, and never below 2**-1074
+    E = min(1074, max(0, 54 - 2 * math.frexp(min(filter(None, powers.values()), default=1.0))[1]))
+    for pair in pairs:
+        prod = powers[pair[0]] * powers[pair[1]]
+        try:
+            weights[pair] = int(math.ldexp(prod, E))
+        except OverflowError:  # prod * 2**E is past the double range, or prod is (then weighed 0)
+            if prod == math.inf:
+                over.add(pair)
+                prod = 0.0
+            num, den = prod.as_integer_ratio()  # den is a power of two
+            weights[pair] = num << (E + 1 - den.bit_length())
+    return weights, over, E, powers
+
+
+def _fold(parts: tuple[Part, ...], columns: dict[str, dict], weights: dict) -> list[Triple]:
+    """Each part summed into one triple, every coefficient times its pair's weight."""
+    sums = {}
+    for name, col in columns.items():
+        s = 0
+        for pair, k in col.items():
+            s += k * weights[pair]
+        sums[name] = s
+    folded = []
+    for part in parts:
+        a = b = c = 0
+        for (x, y, z), name in part:
+            s = sums[name]
+            a, b, c = a + x * s, b + y * s, c + z * s
+        folded.append((a, b, c))
+    return folded
+
+
+def _overflow(what: str, t: int, alpha: float) -> OverflowError:
+    return OverflowError(f"float {what} index at t={t}, alpha={alpha:g} exceeds the double range")
+
+
+def _weigh_terms(what: str, t: int, alpha: float, terms) -> float:
+    """The sum of ``count * fl(a**alpha * b**alpha)`` over ``(count, a, b)``
+    terms, correctly rounded; a class with no edges is not weighed. Past the
+    double range it raises, naming ``what``, ``t`` and alpha."""
+    p, terms = as_params(alpha), [term for term in terms if term[0]]
+    weights, over, E, _ = _weights(p, {(a, b) for _, a, b in terms})
+    try:
+        if over:
+            raise OverflowError
+        return sum(c * weights[a, b] for c, a, b in terms) / (1 << E)
+    except OverflowError:
+        raise _overflow(what, t, p.alpha) from None
+
+
+@dataclass(eq=False)
+class CountTable:
+    """One base's expansion edges by unordered lifted degree pair, alpha-free.
+    ``columns`` hold integer coefficients per pair; per part (one for ``S``,
+    the seven :class:`PolymericParts` for ``P``) a pair has
+    ``sum(columns[name][pair] * (x*N + y*t + z)) / (n-1)**2`` edges at level
+    ``t >= 2`` over the part's groups ``((x, y, z), name)``, ``N = n**(t-2)``.
+    ``level1`` is the level-1 part of ``P``, a hub over the base (empty for
+    ``S``, whose level 1 is the base itself). Hold one to weigh several
+    exponents."""
+
+    variant: str
+    base: Graph
+    tau: np.ndarray
+    columns: dict[str, dict[tuple[int, int], int]]
+    parts: tuple[Part, ...]
+    level1: Part
+
+    def weigh(self, params: IndexParams | float) -> LevelForm:
+        """The :class:`LevelForm` of one exponent: the weights summed once into
+        ``(N, t, 1)`` coefficients. Edges whose weight is past the double range
+        are counted apart, in ``overflow``."""
+        p, u, parts = as_params(params), self.base.n - 1, (*self.parts, self.level1)
+        weights, over, E, powers = _weights(p, set().union(*self.columns.values()))
+        *folded, level1 = _fold(parts, self.columns, weights)
+        overflow = past1 = (0, 0, 0)
+        if over:  # the edges of the pairs past the double range, counted apart
+            *past, past1 = _fold(parts, self.columns, dict.fromkeys(weights, 0) | dict.fromkeys(over, 1))
+            overflow = tuple(map(sum, zip(*past)))
+        # S level 1 is randic_index of the base; every polymeric level-1 class has edges
+        level1 = None if self.variant == "S" or past1[2] else level1[2]
+        return LevelForm(self.variant, self.base, p, tuple(folded), tuple(map(sum, zip(*folded))), overflow,
+                         level1, u * u << E, self.tau, powers)
+
+
+def count_table(base: Graph, variant: str) -> CountTable:
+    """The alpha-free step of :func:`compile_index` for variant ``"S"`` or
+    ``"P"``: connectivity (``P``), degrees and range-checked edge triangles,
+    once. Nothing is cached."""
+    if variant not in ("S", "P"):
+        raise ValueError(f"variant must be 'S' or 'P', got {variant!r}")
+    if variant == "P" and not is_connected(base):
+        raise ValueError("polymeric index needs a connected base graph")
+    n, u, deg = base.n, base.n - 1, base.degrees()
+    tau = edge_triangles(base)
+    pairs = _degree_pairs(base, deg, tau)
+    # numerators over (n-1)**2 of n**(t-2) and repunit(n, t-2)
+    lead, psi2 = (u * u, 0, 0), (u, 0, -u)
+    if variant == "S":
+        lead0, rep0 = _copies(n, pairs, 0)
+        return CountTable("S", base, tau, {"lead": lead0, "rep": rep0}, (((lead, "lead"), (psi2, "rep")),), ())
+    # numerators of 1, n**(t-1), repunit(n, t-1), and the level sums over i = 2..t-1
+    # of repunit(n, i-1) and repunit(n, i-2) and over i = 1..t-1 of repunit(n, i-1)
+    one, top, psi1 = (0, 0, u * u), (u * u * n, 0, 0), (u * n, 0, -u)
+    mid_hub, mid_copy, links = (n, -u, 2 * u - n), (1, -u, 2 * u - 1), (n, -u, u - 1)
+    # the hub edges to the base vertices: the root hub's (degree n) at base
+    # degree + 1 (level 1) and + 2, the other hubs' (degree n + 1) at + 1 and
+    # + 2, and, times the base degree, those at + 3 less those at + 2 (rise)
+    # and those at + 2 less those at + 1 (drop)
+    hub, root1, root2, hub1, hub2, rise, drop = n + 1, {}, {}, {}, {}, {}, {}
+    for d, size in Counter(deg[1:].tolist()).items():
+        root1[d + 1, n], root2[(d + 2, n) if d + 2 <= n else (n, hub)] = size, size
+        hub1[d + 1, hub], hub2[d + 2, hub] = size, size
+        up = (d + 3, hub) if d + 3 <= hub else (hub, d + 3)
+        rise[up], rise[d + 2, hub] = rise.get(up, 0) + size * d, rise.get((d + 2, hub), 0) - size * d
+        drop[d + 2, hub], drop[d + 1, hub] = drop.get((d + 2, hub), 0) + size * d, drop.get((d + 1, hub), 0) - size * d
+    (lead1, rep1), edges1 = _copies(n, pairs, 1), {(dx + 1, dy + 1): size for (dx, dy), (size, _) in pairs.items()}
+
+    def lift(col: dict) -> dict:  # the same edges with both end degrees one higher
+        return {(a + 1, b + 1): k for (a, b), k in col.items()}
+
+    columns = {"root1": root1, "root2": root2, "hub1": hub1, "hub2": hub2, "rise": rise, "drop": drop,
+               "lead1": lead1, "rep1": rep1, "lead2": lift(lead1), "rep2": lift(rep1), "edges1": edges1,
+               "edges2": lift(edges1)}
+    parts = (
+        ((one, "root2"),),
+        ((one, "edges2"),),
+        (((u * n, 0, -u * n), "hub2"), (mid_hub, "rise")),
+        ((psi2, "lead2"), (mid_copy, "rep2")),
+        ((psi1, "hub2"), (links, "rise")),
+        ((top, "hub1"), (psi1, "drop")),
+        ((lead, "lead1"), (psi2, "rep1")),
+    )
+    return CountTable("P", base, tau, columns, parts, ((one, "root1"), (one, "edges1")))
+
+
+# -- the compiled level form ----------------------------------------------------
 
 @dataclass(eq=False)
 class LevelForm:
@@ -244,14 +417,17 @@ class LevelForm:
     each of ``parts`` (one for ``S``, the seven :class:`PolymericParts` for
     ``P``) and their sum ``total`` is ``(a*N + b*t + c) / den`` with
     ``N = n**(t-2)``; ``den`` is ``(n-1)**2``, times ``2**E`` in float mode.
-    ``level1`` is the polymeric level-1 numerator; None marks a weight past the
-    double range. ``tau`` and ``powers`` serve breakdowns."""
+    ``overflow`` counts the edges, over ``(n-1)**2``, whose weight is past the
+    double range: a level where it is nonzero raises. ``level1`` is the
+    polymeric level-1 numerator; None marks a weight past the double range.
+    ``tau`` and ``powers`` serve breakdowns."""
 
     variant: str
     base: Graph
     params: IndexParams
-    parts: tuple[tuple[int, int, int], ...] | None
-    total: tuple[int, int, int] | None
+    parts: tuple[Triple, ...]
+    total: Triple
+    overflow: Triple
     level1: int | None
     den: int
     tau: np.ndarray
@@ -262,11 +438,17 @@ class LevelForm:
         and one division; a breakdown evaluates the per-class counters at ``t``."""
         t, p, n = _int_arg(t, 1), self.params, self.base.n
         if t == 1:  # no breakdown
-            value = randic_index(self.base, p) if self.variant == "S" else self._ratio(t, self.level1)
+            try:
+                value = randic_index(self.base, p) if self.variant == "S" else self._ratio(t, self.level1)
+            except OverflowError:
+                raise self._overflow(t) from None
             return _report(self.variant, t, p, value, None)
-        if self.total is None or not p.exact and self._past_double_range(t):
+        if not p.exact and self._past_double_range(t):
             raise self._overflow(t)
         lead = n ** (t - 2)
+        x, y, z = self.overflow
+        if x * lead + y * t + z:  # some edge at this level weighs past the double range
+            raise self._overflow(t)
         evaluated = (self.total, *self.parts) if include_breakdown else (self.total,)
         total, *parts = (self._ratio(t, a * lead + b * t + c) for a, b, c in evaluated)
         if not include_breakdown:
@@ -279,8 +461,7 @@ class LevelForm:
         return _report("P", t, p, total, PolymericBreakdown(PolymericParts(*parts), mid, top))
 
     def _overflow(self, t: int) -> OverflowError:
-        alpha = self.params.alpha
-        return OverflowError(f"float {self.variant} index at t={t}, alpha={alpha:g} exceeds the double range")
+        return _overflow(self.variant, t, self.params.alpha)
 
     def _ratio(self, t: int, num: int | None) -> Number:
         """``num / den``: the exact quotient, or the correctly rounded float."""
@@ -303,112 +484,26 @@ class LevelForm:
 
     def _edge_weights(self, lead: int, rep: int, shift: int) -> tuple[EdgeWeight, ...]:
         """Per canonical edge, the four degree-class terms of one copy group at
-        ``base degree + shift``, one set of terms per class ``(dx, dy, tau)``."""
-        base, pw, add = self.base, self.powers, sum if self.params.exact else math.fsum
-        deg, e = base.degrees(), base.edges
+        ``base degree + shift``, one set of terms per class ``(dx, dy, tau)``;
+        a term with no edges is zero, whatever its weight."""
+        base, pw, exact = self.base, self.powers, self.params.exact
+        deg, e, add = base.degrees(), base.edges, sum if exact else math.fsum
         keys = list(zip(deg[e[:, 0]].tolist(), deg[e[:, 1]].tolist(), self.tau.tolist()))
         rows = {}
         for dx, dy, tau in set(keys):
             counters = _counters(base.n, dx, dy, tau, lead, rep)
             a, b = dx + shift, dy + shift
             degrees = ((a, b), (a, b + 1), (a + 1, b), (a + 1, b + 1))
-            values = [c * (pw[x] * pw[y]) for c, (x, y) in zip(counters, degrees)]
+            values = [c * (pw[x] * pw[y]) if c or exact else 0.0 for c, (x, y) in zip(counters, degrees)]
             rows[dx, dy, tau] = tuple(map(EdgeTerm, counters, degrees, values)), add(values)
         return tuple(EdgeWeight(x, y, *rows[key]) for (x, y), key in zip(base.iter_edges(), keys))
 
 
 def compile_index(base: Graph, params: IndexParams | float, variant: str) -> LevelForm:
     """Compile ``base`` for variant ``"S"`` or ``"P"`` and one exponent: the
-    expansion's edges grouped by lifted degree pair ``(a, b)``, each weighed by
-    ``fl(a**alpha * b**alpha)`` (exact integers in exact mode), summed once into
-    integer coefficients over ``(n**(t-2), t, 1)``. Nothing is cached."""
+    :func:`count_table` weighed once. Nothing is cached."""
     p = as_params(params)
-    if variant not in ("S", "P"):
-        raise ValueError(f"variant must be 'S' or 'P', got {variant!r}")
-    if variant == "P" and not is_connected(base):
-        raise ValueError("polymeric index needs a connected base graph")
-    n, u, deg = base.n, base.n - 1, base.degrees()
-    tau = edge_triangles(base)
-    pairs, degrees = _degree_pairs(base, deg, tau), deg[1:].tolist()
-    # k ** alpha for the hub degrees (n at the polymeric root, n + 1 below) and
-    # each lifted degree of a vertex with edges (0 has no negative power)
-    shifts, hubs = ((0, 1), ()) if variant == "S" else ((1, 2, 3), (n, n + 1))
-    lifted = {d + s for d in set(degrees) - {0} for s in shifts}.union(hubs)
-    pw = {k: k ** (p.int_alpha if p.exact else p.alpha) for k in lifted}
-    # fl(pa * pb) * 2**scale is an integer: its last bit is at least
-    # 2**(ea + eb - 54) for frexp exponents ea, eb, and never below 2**-1074
-    low = min(pw.values()) or min(filter(None, pw.values()), default=1.0)  # the least nonzero power
-    scale = 0 if p.exact else min(1074, max(0, 54 - 2 * math.frexp(low)[1]))
-    weights = {}
-
-    def w(a: int, b: int, ldexp=math.ldexp) -> int:
-        # the weight of degree pair (a, b) times 2**scale; OverflowError when it is inf
-        if (prod := weights.get((a, b))) is None:
-            prod = pw[a] * pw[b]
-            if not p.exact:
-                try:
-                    prod = int(ldexp(prod, scale))
-                except OverflowError:  # prod * 2**scale is past the double range, or prod is
-                    num, den = prod.as_integer_ratio()
-                    prod = num << (scale + 1 - den.bit_length())
-            weights[a, b] = prod
-        return prod
-
-    def copies(shift: int) -> tuple[int, int, int]:
-        # one copy group of the base edges at base degree + shift: the weight sums
-        # multiplying its lead and its repunit in the four counters, and the
-        # sum of the unlifted pair weights
-        on_lead = on_rep = plain = 0
-        for (dx, dy), (size, k) in pairs.items():
-            a, b = dx + shift, dy + shift
-            w00, w01, w10, w11 = w(a, b), w(a, b + 1), w(a + 1, b), w(a + 1, b + 1)
-            on_lead += size * ((n - dx - dy) * w00 + dy * w01 + dx * w10 + w11) + k * (w00 - w01 - w10 + w11)
-            on_rep += size * ((dx + dy + 1) * w11 - dx * w01 - dy * w10)
-            plain += size * w00
-        return on_lead, on_rep, plain
-
-    try:  # OverflowError: a weight past the double range
-        if variant == "S":  # n**(t-2) and repunit(n, t-2) are (u*u*N) and (u*N - u) over u**2
-            on_lead, on_rep, _ = copies(0)
-            parts = ((u * u * on_lead + u * on_rep, 0, -u * on_rep),)
-        else:
-            parts = _polymeric_parts(n, Counter(degrees), w, copies)
-    except OverflowError:
-        parts = None
-    try:  # the polymeric level 1: a root hub over the base, its degrees lifted by one
-        level1 = None if variant == "S" else u * u * (
-            sum(w(n, d + 1) for d in degrees) + sum(k * w(dx + 1, dy + 1) for (dx, dy), (k, _) in pairs.items()))
-    except OverflowError:
-        level1 = None
-    total = None if parts is None else parts[0] if len(parts) == 1 else tuple(map(sum, zip(*parts)))
-    return LevelForm(variant, base, p, parts, total, level1, u * u << scale, tau, pw)
-
-
-def _polymeric_parts(n: int, degrees: Counter, w, copies) -> tuple[tuple[int, int, int], ...]:
-    """The seven :class:`PolymericParts` as ``(N, t, 1)`` triples over ``(n-1)**2``."""
-    u = n - 1
-    # numerators over (n-1)**2 of n**(t-2), n**(t-1), 1, repunit(n, t-1),
-    # repunit(n, t-2), and the level sums over i = 2..t-1 of repunit(n, i-1)
-    # and repunit(n, i-2) and over i = 1..t-1 of repunit(n, i-1)
-    lead, top, one, psi1, psi2 = (u * u, 0, 0), (u * u * n, 0, 0), (0, 0, u * u), (u * n, 0, -u), (u, 0, -u)
-    mid_hub, mid_copy, links = (n, -u, 2 * u - n), (1, -u, 2 * u - 1), (n, -u, u - 1)
-    # hub edges to the base vertices: the root hub's at degree d + 2, the
-    # others' at d + 1..3, plain and times d
-    root = v1 = v2 = d1 = d2 = d3 = 0
-    for d, size in degrees.items():
-        w1, w2, w3 = w(n + 1, d + 1), w(n + 1, d + 2), w(n + 1, d + 3)
-        root, v1, v2 = root + size * w(n, d + 2), v1 + size * w1, v2 + size * w2
-        d1, d2, d3 = d1 + size * d * w1, d2 + size * d * w2, d3 + size * d * w3
-    (top_lead, top_rep, _), (mid_lead, mid_rep, first) = copies(1), copies(2)
-    return (
-        _affine((one, root)),
-        _affine((one, first)),
-        _affine((psi2, n * v2), (mid_hub, d3 - d2)),
-        _affine((psi2, mid_lead), (mid_copy, mid_rep)),
-        _affine((psi1, v2), (links, d3 - d2)),
-        _affine((top, v1), (psi1, d2 - d1)),
-        _affine((lead, top_lead), (psi2, top_rep)),
-    )
+    return count_table(base, variant).weigh(p)
 
 
 def sierpinski_randic(
@@ -468,19 +563,8 @@ def sierpinski_randic_bounds(base: Graph, t: int, alpha: float) -> tuple[float, 
     if dmin < 1:
         raise ValueError("bounds require no isolated vertices")
 
-    n = base.n
+    n, m_edges = base.n, base.m  # m = M1 / 2
     lead, rep = n ** (t - 2), repunit(n, t - 2)
-    r_base = randic_index(base, alpha)
-    m_next = degree_power_sum(base, alpha + 1)
-    m_edges = base.m  # = M1 / 2
-
-    # Envelope of the per-vertex increment h(d) = (d+1)**a - d**a over
-    # d in [dmin, dmax]; the two cross terms swap roles when alpha < 0.
-    cross = ((dmin + 1) ** alpha - dmax ** alpha, (dmax + 1) ** alpha - dmin ** alpha)
-    e_lo, e_hi = min(cross), max(cross)
-    min_pow = min(dmin ** alpha, dmax ** alpha)
-    if min_pow + e_lo < 0:
-        raise ValueError("degree spread too large for a valid envelope at this alpha")
 
     def envelope(d_in: int, d_out: int, e: float) -> float:
         return (
@@ -489,11 +573,18 @@ def sierpinski_randic_bounds(base: Graph, t: int, alpha: float) -> tuple[float, 
             + (lead + (2 * d_in + 1) * rep) * (r_base + e * m_next + m_edges * e * e)
         )
 
-    try:
+    try:  # OverflowError: a power, a level count or a bound too large for a float
+        r_base, m_next = randic_index(base, alpha), degree_power_sum(base, alpha + 1)
+        # Envelope of the per-vertex increment h(d) = (d+1)**a - d**a over
+        # d in [dmin, dmax]; the two cross terms swap roles when alpha < 0.
+        cross = ((dmin + 1) ** alpha - dmax ** alpha, (dmax + 1) ** alpha - dmin ** alpha)
+        e_lo, e_hi = min(cross), max(cross)
+        if min(dmin ** alpha, dmax ** alpha) + e_lo < 0:
+            raise ValueError("degree spread too large for a valid envelope at this alpha")
         bounds = envelope(dmin, dmax, e_lo), envelope(dmax, dmin, e_hi)
         if all(map(math.isfinite, bounds)):
             return bounds
-    except OverflowError:  # a level count too large for a float
+    except OverflowError:
         pass
     raise OverflowError(f"float S bounds at t={t}, alpha={alpha:g} exceed the double range")
 

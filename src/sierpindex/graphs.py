@@ -269,19 +269,20 @@ def edge_triangles(g: Graph) -> np.ndarray:
     credited to all three of its edges. The orientation keeps the wedge count
     within O(m**1.5) even when a hub is adjacent to every other vertex.
     """
-    n1, m, nbr = g.n + 1, g.m, g._indices
+    n1, m, nbr, ids = g.n + 1, g.m, g._indices, np.arange(g.n + 1)
     deg = g.degrees()
     keys = g._edges[:, 0] * n1 + g._edges[:, 1]  # sorted: canonical order
-    rank = deg * n1 + np.arange(n1)
-    src = np.arange(n1).repeat(deg)
+    rank = deg * n1 + ids
+    src = ids.repeat(deg)
     up = rank[nbr] > rank[src]
     src, dst = src[up], nbr[up]  # each edge once, grouped by src, dst ascending
     eid = keys.searchsorted(np.minimum(src, dst) * n1 + np.maximum(src, dst))
-    # slot j of a group pairs with each of the `later[j]` slots after it
-    slot = np.arange(m)
-    later = np.bincount(src, minlength=n1).cumsum()[src] - slot - 1
+    # slot j of a group ending before slot `end[j]` pairs with each of the
+    # `later[j]` slots after it
+    slot, end = np.arange(m), src.searchsorted(src, "right")
+    later = end - slot - 1
     first = slot.repeat(later)
-    second = np.arange(first.size) + (slot + 1 + later - later.cumsum()).repeat(later)
+    second = np.arange(first.size) + (end - later.cumsum()).repeat(later)
     wedge = dst[first] * n1 + dst[second]
     pos = keys.searchsorted(wedge)
     hit = keys.take(pos, mode="clip") == wedge

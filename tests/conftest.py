@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
 import sierpindex as sx
+from sierpindex.closedform import _int_ratio
 
 
 def build_corpus() -> dict:
@@ -38,3 +41,19 @@ def corpus():
 
 def rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
     return abs(a - b) <= max(tol * abs(b), 1e-12)
+
+
+def table_counts(table, t: int) -> list[Counter]:
+    """Per part of a :func:`sierpindex.count_table`, the level-``t`` expansion's
+    edges by end-degree pair, read off its columns (``t = 1``: the one part
+    ``level1``); a count that is not an integer raises."""
+    n = table.base.n
+    lead = n ** (t - 2) if t > 1 else 0  # a level-1 basis has no n**(t-2) term
+    out = []
+    for part in table.parts if t > 1 else (table.level1,):
+        count = Counter()
+        for (x, y, z), name in part:
+            for pair, k in table.columns[name].items():
+                count[pair] += (x * lead + y * t + z) * k
+        out.append(Counter({pair: _int_ratio(c, (n - 1) ** 2) for pair, c in count.items() if c}))
+    return out

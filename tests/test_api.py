@@ -6,7 +6,8 @@ PUBLIC_API = [
     "GraphError", "IndexParams", "IndexReport", "LevelForm", "ParseError", "PolymericBreakdown",
     "PolymericLayout", "PolymericParts", "SierpinskiBreakdown", "VertexBudgetError",
     "VertexClassCounts", "census_edge_classes", "census_vertex_classes", "closedform",
-    "compile_index", "complete_bipartite_graph", "complete_graph", "construct", "cycle_graph", "degree_power_sum",
+    "compile_index", "complete_bipartite_graph", "complete_graph", "construct", "count_table", "cycle_graph",
+    "degree_power_sum",
     "degree_profile", "demo_graph", "edge_class_counts", "edge_triangles", "generate_family",
     "graphs", "id_to_word", "is_connected", "parse_edge_list", "path_graph", "polymeric_complete",
     "polymeric_graph", "polymeric_layout", "polymeric_level1_complete", "polymeric_level1_regular",

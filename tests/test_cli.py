@@ -203,10 +203,10 @@ def test_verify_passes_and_reports(capsys, k3_file, tmp_path):
 
 
 def test_verify_detects_a_perturbed_formula(capsys, k3_file, monkeypatch):
-    true_compile = closedform.compile_index
+    true_weigh = closedform.CountTable.weigh
 
-    def skewed(base, params, variant):
-        form = true_compile(base, params, variant)
+    def skewed(table, params):
+        form = true_weigh(table, params)
         true_at = form.at
 
         def at(t, include_breakdown=False):
@@ -219,8 +219,8 @@ def test_verify_detects_a_perturbed_formula(capsys, k3_file, monkeypatch):
         form.at = at
         return form
 
-    # the CLI reaches the closed forms through compile_index
-    monkeypatch.setattr(closedform, "compile_index", skewed)
+    # the CLI reaches the closed forms through a weighed count table
+    monkeypatch.setattr(closedform.CountTable, "weigh", skewed)
     rc, out, _ = run(capsys, "verify", k3_file, "--variant", "S", "--t", "2",
                      "--alpha", "-0.5")
     assert rc == 1
@@ -228,12 +228,15 @@ def test_verify_detects_a_perturbed_formula(capsys, k3_file, monkeypatch):
 
 
 def test_verify_compiles_once_per_graph_variant_and_alpha(capsys, k3_file, monkeypatch):
-    compiled = []
-    true_compile = closedform.compile_index
-    monkeypatch.setattr(closedform, "compile_index", lambda *args: compiled.append(args[1:]) or true_compile(*args))
+    counted, weighed = [], []
+    true_count, true_weigh = closedform.count_table, closedform.CountTable.weigh
+    monkeypatch.setattr(closedform, "count_table", lambda base, variant: counted.append(variant) or true_count(base, variant))
+    monkeypatch.setattr(closedform.CountTable, "weigh",
+                        lambda table, params: weighed.append((params, table.variant)) or true_weigh(table, params))
     rc, out, _ = run(capsys, "verify", k3_file, "--t", "1..3", "--alpha", "-0.5", "--alpha", "2")
     assert rc == 0 and "12 cells: 12 ok" in out
-    assert sorted(compiled) == [(-0.5, "P"), (-0.5, "S"), (2.0, "P"), (2.0, "S")]
+    assert sorted(counted) == ["P", "S"]
+    assert sorted(weighed) == [(-0.5, "P"), (-0.5, "S"), (2.0, "P"), (2.0, "S")]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-0.0001"])

@@ -214,8 +214,8 @@ for call in guarded:
 
 def test_overcounted_triangles_are_refused_at_compile_time_under_optimized_mode():
     # one triangle too many per edge of K4 (tau = 3 = min(dx, dy)) keeps every
-    # counter nonnegative at t = 2 but not at t = 3; the compile refuses it
-    # before any level is asked for, under python -O too
+    # counter nonnegative at t = 2 but not at t = 3; the count step refuses it
+    # before any exponent or level is asked for, under python -O too
     _run_optimized("""
 import sys
 import sierpindex as sx
@@ -225,7 +225,8 @@ if not sys.flags.optimize:
 closedform.edge_triangles = lambda g: graphs.edge_triangles(g) + 1
 k4 = sx.complete_graph(4)
 for call in (lambda: closedform.compile_index(k4, -0.5, "S"), lambda: closedform.compile_index(k4, 1.0, "P"),
-             lambda: sx.sierpinski_randic(k4, 2, sx.IndexParams(1, exact=True))):
+             lambda: sx.sierpinski_randic(k4, 2, sx.IndexParams(1, exact=True)),
+             lambda: sx.count_table(k4, "S"), lambda: sx.count_table(k4, "P")):
     try:
         call()
     except ArithmeticError as exc:

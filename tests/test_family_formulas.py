@@ -1,14 +1,18 @@
-"""The family formulas of :mod:`sierpindex.specialized` follow the closed
-form's float contract: on a grid of bases, exponents and levels each one
-equals the general evaluator with ``==`` and raises :class:`OverflowError`
-exactly where it does, and no public family call returns ``inf`` or ``nan``."""
+"""The family formulas of :mod:`sierpindex.specialized` count what the count
+table counts and follow the closed form's float contract: on a grid of bases,
+exponents and levels each one equals the general evaluator with ``==`` and
+raises :class:`OverflowError` exactly where it does, and no public family call
+returns ``inf`` or ``nan``."""
 
 import inspect
+from collections import Counter
 
 import pytest
 
 import sierpindex as sx
 from sierpindex import specialized as sp
+
+from conftest import table_counts
 
 ALPHAS = [-2.0, -1.0, -0.5, -1 / 3, 0.5, 1.0, 1.5, 2.0, 3, 7.5, 40.0, 123.0, 300.0]  # 3: an int alpha
 LEVELS = [*range(2, 41), 50, 100, 200, 323, 394, 510, 1000, 3000, 10_000]
@@ -66,9 +70,10 @@ def general(form, t: int, parts: bool = False):
     report = outcome(form.at, t, parts)
     if report is not OverflowError:
         return report.breakdown.parts if parts else report.value
-    if not parts or form.parts is None:
-        return OverflowError
     lead = form.base.n ** (t - 2)
+    x, y, z = form.overflow  # edges whose weight is past the double range
+    if not parts or x * lead + y * t + z:
+        return OverflowError
     return outcome(lambda: sx.PolymericParts(*((a * lead + b * t + c) / form.den for a, b, c in form.parts)))
 
 
@@ -87,21 +92,53 @@ def test_family_formulas_equal_the_general_evaluator_bit_for_bit(name):
                 assert outcome(fn, *params, t, alpha) == general(p_form, t, parts=True), (fn.__name__, t, alpha)
 
 
-# one point past the double range per public callable of `specialized`
+def terms(table) -> Counter:
+    """A family's ``(count, a, b)`` table as edges by sorted end-degree pair."""
+    out = Counter()
+    for count, a, b in table:
+        out[min(a, b), max(a, b)] += count
+    return +out
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_tables_equal_the_count_table_at_every_level(name):
+    """Each family formula's private ``(count, a, b)`` table against the count
+    table of its base, part by part. Both sides are affine in
+    ``(n**(t-2), t, 1)``, and that 3x3 system at t = 2, 3, 4 has determinant
+    ``-(n-1)**2 != 0``: equal at those three levels, they are equal at every
+    level ``t >= 2``, so every exponent weighs them alike."""
+    build, plain, level1, polymeric = FAMILIES[name]
+    base = build()
+    s_table, p_table = sx.count_table(base, "S"), sx.count_table(base, "P")
+
+    def table(fn):
+        return getattr(sp, "_" + fn.__name__)
+
+    for fn, params in level1:
+        assert [terms(table(fn)(*params))] == table_counts(p_table, 1), fn.__name__
+    for t in (2, 3, 4):
+        for fn, params in plain:
+            assert [terms(table(fn)(*params, t))] == table_counts(s_table, t), (fn.__name__, t)
+        for fn, params in polymeric:
+            assert [terms(part) for part in table(fn)(*params, t)] == table_counts(p_table, t), (fn.__name__, t)
+
+
+# one point past the double range per public callable of `specialized`, and
+# the formula its message names
 OVERFLOWS = {
-    "sierpinski_regular": (6, 2, 0, 2, 323.0),
-    "sierpinski_complete": (3, 2, 400.0),
-    "sierpinski_cycle": (6, 2, 323.0),
-    "sierpinski_semiregular": (2, 3, 3, 2, 441, 2.0),
-    "sierpinski_star": (3, 510, 2.0),
-    "sierpinski_path": (5, 2, 350.0),
-    "polymeric_level1_regular": (6, 2, 250.0),
-    "polymeric_level1_complete": (5, 300.0),
-    "polymeric_level1_semiregular": (2, 3, 3, 2, 250.0),
-    "polymeric_regular": (6, 2, 0, 393, 2.0),
-    "polymeric_complete": (4, 510, 2.0),
-    "sierpinski_specialized": ("path", (5,), 2, 350.0),
-    "polymeric_specialized": ("regular", (6, 2), 1, 250.0),
+    "sierpinski_regular": ((6, 2, 0, 2, 323.0), "sierpinski_regular"),
+    "sierpinski_complete": ((3, 2, 400.0), "sierpinski_complete"),
+    "sierpinski_cycle": ((6, 2, 323.0), "sierpinski_cycle"),
+    "sierpinski_semiregular": ((2, 3, 3, 2, 441, 2.0), "sierpinski_semiregular"),
+    "sierpinski_star": ((3, 510, 2.0), "sierpinski_star"),
+    "sierpinski_path": ((5, 2, 350.0), "sierpinski_path"),
+    "polymeric_level1_regular": ((6, 2, 250.0), "polymeric_level1_regular"),
+    "polymeric_level1_complete": ((5, 300.0), "polymeric_level1_complete"),
+    "polymeric_level1_semiregular": ((2, 3, 3, 2, 250.0), "polymeric_level1_semiregular"),
+    "polymeric_regular": ((6, 2, 0, 393, 2.0), "polymeric_regular hub_top"),
+    "polymeric_complete": ((4, 510, 2.0), "polymeric_complete hub_mid"),
+    "sierpinski_specialized": (("path", (5,), 2, 350.0), "sierpinski_path"),
+    "polymeric_specialized": (("regular", (6, 2), 1, 250.0), "polymeric_level1_regular"),
 }
 
 
@@ -109,7 +146,14 @@ def test_every_family_callable_raises_past_the_double_range():
     public = {name for name, fn in inspect.getmembers(sp, inspect.isfunction)
               if fn.__module__ == sp.__name__ and not name.startswith("_")}
     assert public == set(OVERFLOWS)
-    for name, args in OVERFLOWS.items():
-        with pytest.raises(OverflowError):
+    for name, (args, formula) in OVERFLOWS.items():
+        t = 1 if "level1" in formula else args[-2]
+        message = rf"^float {formula} index at t={t}, alpha={args[-1]:g} exceeds the double range$"
+        with pytest.raises(OverflowError, match=message):
             value = getattr(sp, name)(*args)
             pytest.fail(f"{name}{args} returned {value!r}")
+
+
+def test_a_power_past_the_double_range_names_the_formula():
+    with pytest.raises(OverflowError, match=r"^float sierpinski_complete index at t=2, alpha=1e\+06 exceeds"):
+        sp.sierpinski_complete(5, 2, 1e6)
