@@ -111,15 +111,17 @@ def _cmd_closed(args) -> int:
 
 def _cmd_direct(args) -> int:
     g = _load_graph(args.graph)
-    if args.degree_sum:
-        doc = {"index": "degree_power_sum", "alpha": args.alpha,
-               "value": graphs.degree_power_sum(g, args.alpha)}
-    else:
-        params = graphs.IndexParams(args.alpha, exact=args.exact)
-        value = graphs.randic_index(g, params)
-        doc = {"index": "randic", "alpha": args.alpha, "value": closedform._float_or_none(value)}
-        if args.exact:
-            doc["exact"] = str(value)
+    index = "degree_power_sum" if args.degree_sum else "randic"
+    try:
+        if args.degree_sum:
+            value = graphs.degree_power_sum(g, args.alpha)
+        else:
+            value = graphs.randic_index(g, graphs.IndexParams(args.alpha, exact=args.exact))
+    except OverflowError:  # a power or the float sum past the double range
+        raise OverflowError(f"float {index} index at alpha={args.alpha:g} exceeds the double range") from None
+    doc = {"index": index, "alpha": args.alpha, "value": closedform._float_or_none(value)}
+    if args.exact and not args.degree_sum:
+        doc["exact"] = str(value)
     _write_out(_json_text(doc), args.out)
     return 0
 

@@ -15,7 +15,7 @@ returns the correctly rounded value of the exact sum, over the expansion's
 edges, of ``fl(a**alpha * b**alpha)`` for end degrees ``a`` and ``b``: each
 power and each product is rounded once, and the sum once more at the end. A
 value past the double range raises :class:`OverflowError`; a degree class with
-no edges at a level is not weighed there.
+no edges at a level adds nothing there, whatever its weight.
 """
 
 from __future__ import annotations
@@ -136,7 +136,10 @@ class PolymericParts(NamedTuple):
     def total(self) -> Number:
         if all(isinstance(p, int) for p in self):
             return sum(self)
-        return math.fsum(self)
+        try:
+            return math.fsum(self)
+        except OverflowError:
+            raise OverflowError("float P parts total exceeds the double range") from None
 
     def as_dict(self) -> dict[str, Number]:
         return dict(zip(self._fields, self))
@@ -258,19 +261,21 @@ def _copies(n: int, pairs: dict, shift: int) -> tuple[dict, dict]:
     return lead, rep
 
 
-def _weights(p: IndexParams, pairs: set) -> tuple[dict[tuple[int, int], int], set, int, dict[int, Number]]:
+def _weights(p: IndexParams, pairs: set) -> tuple[dict[tuple[int, int], int], int, dict[int, Number]]:
     """The one weigher: ``fl(a**alpha * b**alpha) * 2**E`` per pair ``(a, b)``
     as an exact integer (the exact product in exact mode, with ``E = 0``); also
-    the pairs whose weight is past the double range (weighed 0), ``E`` and the
-    powers ``k**alpha``."""
-    alpha, powers, weights, over = p.int_alpha if p.exact else p.alpha, {}, {}, set()
+    ``E`` and the powers ``k**alpha``. A weight past the double range, or with
+    a power past it, is ``2**(E + 1024)``: every count is a nonnegative integer
+    and every other weight nonnegative, so one edge of that pair puts a level's
+    quotient past the double range, and a pair with no edges adds nothing."""
+    alpha, powers, weights = p.int_alpha if p.exact else p.alpha, {}, {}
     for k in {k for pair in pairs for k in pair}:
         try:
             powers[k] = k ** alpha
         except OverflowError:
             powers[k] = math.inf
     if p.exact:
-        return {(a, b): powers[a] * powers[b] for a, b in pairs}, over, 0, powers
+        return {(a, b): powers[a] * powers[b] for a, b in pairs}, 0, powers
     # fl(pa * pb) * 2**E is an integer: its last bit is at least 2**(ea + eb - 54)
     # for frexp exponents ea, eb, and never below 2**-1074
     E = min(1074, max(0, 54 - 2 * math.frexp(min(filter(None, powers.values()), default=1.0))[1]))
@@ -278,13 +283,10 @@ def _weights(p: IndexParams, pairs: set) -> tuple[dict[tuple[int, int], int], se
         prod = powers[pair[0]] * powers[pair[1]]
         try:
             weights[pair] = int(math.ldexp(prod, E))
-        except OverflowError:  # prod * 2**E is past the double range, or prod is (then weighed 0)
-            if prod == math.inf:
-                over.add(pair)
-                prod = 0.0
-            num, den = prod.as_integer_ratio()  # den is a power of two
+        except OverflowError:  # prod * 2**E is past the double range, or prod is
+            num, den = prod.as_integer_ratio() if prod < math.inf else (1 << 1024, 1)  # den is a power of two
             weights[pair] = num << (E + 1 - den.bit_length())
-    return weights, over, E, powers
+    return weights, E, powers
 
 
 def _fold(parts: tuple[Part, ...], columns: dict[str, dict], weights: dict) -> list[Triple]:
@@ -309,18 +311,21 @@ def _overflow(what: str, t: int, alpha: float) -> OverflowError:
     return OverflowError(f"float {what} index at t={t}, alpha={alpha:g} exceeds the double range")
 
 
-def _weigh_terms(what: str, t: int, alpha: float, terms) -> float:
-    """The sum of ``count * fl(a**alpha * b**alpha)`` over ``(count, a, b)``
-    terms, correctly rounded; a class with no edges is not weighed. Past the
-    double range it raises, naming ``what``, ``t`` and alpha."""
-    p, terms = as_params(alpha), [term for term in terms if term[0]]
-    weights, over, E, _ = _weights(p, {(a, b) for _, a, b in terms})
-    try:
-        if over:
-            raise OverflowError
-        return sum(c * weights[a, b] for c, a, b in terms) / (1 << E)
-    except OverflowError:
-        raise _overflow(what, t, p.alpha) from None
+def _weigh_terms(what: str, t: int, alpha: float, *tables) -> Number | PolymericParts:
+    """Each table of ``(count, a, b)`` terms summed as ``count * fl(a**alpha *
+    b**alpha)``, correctly rounded, all over one weigher: one table gives its
+    value, seven give the :class:`PolymericParts`. Past the double range it
+    raises, naming ``what`` (and the part), ``t`` and alpha."""
+    p = as_params(alpha)
+    weights, E, _ = _weights(p, {(a, b) for table in tables for _, a, b in table})
+    names = [what] if len(tables) == 1 else [f"{what} {field}" for field in PolymericParts._fields]
+    values = []
+    for name, table in zip(names, tables):
+        try:
+            values.append(sum(c * weights[a, b] for c, a, b in table) / (1 << E))
+        except OverflowError:
+            raise _overflow(name, t, p.alpha) from None
+    return values[0] if len(tables) == 1 else PolymericParts(*values)
 
 
 @dataclass(eq=False)
@@ -343,19 +348,14 @@ class CountTable:
 
     def weigh(self, params: IndexParams | float) -> LevelForm:
         """The :class:`LevelForm` of one exponent: the weights summed once into
-        ``(N, t, 1)`` coefficients. Edges whose weight is past the double range
-        are counted apart, in ``overflow``."""
-        p, u, parts = as_params(params), self.base.n - 1, (*self.parts, self.level1)
-        weights, over, E, powers = _weights(p, set().union(*self.columns.values()))
-        *folded, level1 = _fold(parts, self.columns, weights)
-        overflow = past1 = (0, 0, 0)
-        if over:  # the edges of the pairs past the double range, counted apart
-            *past, past1 = _fold(parts, self.columns, dict.fromkeys(weights, 0) | dict.fromkeys(over, 1))
-            overflow = tuple(map(sum, zip(*past)))
-        # S level 1 is randic_index of the base; every polymeric level-1 class has edges
-        level1 = None if self.variant == "S" or past1[2] else level1[2]
-        return LevelForm(self.variant, self.base, p, tuple(folded), tuple(map(sum, zip(*folded))), overflow,
-                         level1, u * u << E, self.tau, powers)
+        ``(N, t, 1)`` coefficients, a weight past the double range as
+        ``2**(E + 1024)``, so that pair makes a level refuse where it has edges
+        and nowhere else."""
+        p, u = as_params(params), self.base.n - 1
+        weights, E, powers = _weights(p, set().union(*self.columns.values()))
+        *folded, level1 = _fold((*self.parts, self.level1), self.columns, weights)
+        return LevelForm(self.variant, self.base, p, tuple(folded), tuple(map(sum, zip(*folded))), level1[2],
+                         u * u << E, self.tau, powers)
 
 
 def count_table(base: Graph, variant: str) -> CountTable:
@@ -417,18 +417,17 @@ class LevelForm:
     each of ``parts`` (one for ``S``, the seven :class:`PolymericParts` for
     ``P``) and their sum ``total`` is ``(a*N + b*t + c) / den`` with
     ``N = n**(t-2)``; ``den`` is ``(n-1)**2``, times ``2**E`` in float mode.
-    ``overflow`` counts the edges, over ``(n-1)**2``, whose weight is past the
-    double range: a level where it is nonzero raises. ``level1`` is the
-    polymeric level-1 numerator; None marks a weight past the double range.
-    ``tau`` and ``powers`` serve breakdowns."""
+    A weight past the double range is ``2**(E + 1024)`` in every numerator,
+    so a level where its pair has edges raises in that one division.
+    ``level1`` is the polymeric level-1 numerator (0 for ``S``, whose level 1
+    is ``randic_index`` of the base). ``tau`` and ``powers`` serve breakdowns."""
 
     variant: str
     base: Graph
     params: IndexParams
     parts: tuple[Triple, ...]
     total: Triple
-    overflow: Triple
-    level1: int | None
+    level1: int
     den: int
     tau: np.ndarray
     powers: dict[int, Number]
@@ -446,9 +445,6 @@ class LevelForm:
         if not p.exact and self._past_double_range(t):
             raise self._overflow(t)
         lead = n ** (t - 2)
-        x, y, z = self.overflow
-        if x * lead + y * t + z:  # some edge at this level weighs past the double range
-            raise self._overflow(t)
         evaluated = (self.total, *self.parts) if include_breakdown else (self.total,)
         total, *parts = (self._ratio(t, a * lead + b * t + c) for a, b, c in evaluated)
         if not include_breakdown:
@@ -463,10 +459,8 @@ class LevelForm:
     def _overflow(self, t: int) -> OverflowError:
         return _overflow(self.variant, t, self.params.alpha)
 
-    def _ratio(self, t: int, num: int | None) -> Number:
+    def _ratio(self, t: int, num: int) -> Number:
         """``num / den``: the exact quotient, or the correctly rounded float."""
-        if num is None:
-            raise self._overflow(t)
         if self.params.exact:
             return _int_ratio(num, self.den)
         try:

@@ -154,7 +154,7 @@ def polymeric_regular(n: int, degree: int, triangles: int, t: int, alpha: float)
     """Seven-part polymeric index for a ``degree``-regular base, ``t >= 2``."""
     n, d = _check_regular(n, degree)
     tau, t = _check_triangles(n, d, triangles), _int_arg(t, 2)
-    return _weigh_parts("polymeric_regular", t, alpha, _polymeric_regular(n, d, tau, t))
+    return _weigh_terms("polymeric_regular", t, alpha, *_polymeric_regular(n, d, tau, t))
 
 
 def _polymeric_regular(n: int, d: int, tau: int, t: int) -> tuple:
@@ -178,7 +178,7 @@ def _polymeric_regular(n: int, d: int, tau: int, t: int) -> tuple:
 def polymeric_complete(n: int, t: int, alpha: float) -> PolymericParts:
     """Seven-part polymeric index for a complete base, ``t >= 2``."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
-    return _weigh_parts("polymeric_complete", t, alpha, _polymeric_complete(n, t))
+    return _weigh_terms("polymeric_complete", t, alpha, *_polymeric_complete(n, t))
 
 
 def _polymeric_complete(n: int, t: int) -> tuple:
@@ -193,11 +193,6 @@ def _polymeric_complete(n: int, t: int) -> tuple:
         ((n, n, n + 1), (n ** t - n, n + 1, n + 1)),
         ((n * (n - 1), n, n + 1), (_int_ratio(n ** (t + 1) - 2 * n * n + n, 2), n + 1, n + 1)),
     )
-
-
-def _weigh_parts(what: str, t: int, alpha: float, tables) -> PolymericParts:
-    return PolymericParts(*(_weigh_terms(f"{what} {field}", t, alpha, table)
-                            for field, table in zip(PolymericParts._fields, tables)))
 
 
 def _regular_copies(n: int, d: int, tau: int, lead: int, rep: int, shift: int) -> tuple:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import sierpindex as sx
 
 # Any addition to or removal from the public API shows up as a diff here.
@@ -23,3 +25,31 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(sx.__all__) == PUBLIC_API
+
+
+# The fields of every exported dataclass and named tuple, in order: a removed
+# or renamed public field shows up as a diff here too.
+PUBLIC_FIELDS = {
+    "DegreeProfile": ("min_degree", "max_degree", "is_regular", "regular_degree", "is_triangle_free",
+                      "bipartite_semiregular"),
+    "EdgeClassCounts": ("x", "y", "c00", "c01", "c10", "c11"),
+    "IndexParams": ("alpha", "exact"),
+    "IndexReport": ("variant", "t", "alpha", "value", "exact", "breakdown", "source"),
+    "LevelForm": ("variant", "base", "params", "parts", "total", "level1", "den", "tau", "powers"),
+    "PolymericBreakdown": ("parts", "copies_mid_edges", "copies_top_edges"),
+    "PolymericLayout": ("n", "t"),
+    "PolymericParts": ("hub_root", "first_copy", "hub_mid", "copies_mid", "level_links", "hub_top", "copies_top"),
+    "SierpinskiBreakdown": ("edge_weights",),
+    "VertexClassCounts": ("x", "c0", "c1"),
+}
+
+
+def test_public_fields_are_pinned():
+    fields = {}
+    for name in sx.__all__:
+        obj = getattr(sx, name)
+        if dataclasses.is_dataclass(obj):
+            fields[name] = tuple(f.name for f in dataclasses.fields(obj))
+        elif isinstance(obj, type) and issubclass(obj, tuple):
+            fields[name] = obj._fields
+    assert fields == PUBLIC_FIELDS

@@ -28,6 +28,13 @@ def k5_file(tmp_path):
 
 
 @pytest.fixture()
+def k4_file(tmp_path):
+    path = tmp_path / "k4.txt"
+    path.write_text(sx.render_edge_list(sx.complete_graph(4)))
+    return str(path)
+
+
+@pytest.fixture()
 def k2_file(tmp_path):
     path = tmp_path / "k2.txt"
     path.write_text(sx.render_edge_list(sx.complete_graph(2)))
@@ -186,6 +193,17 @@ def test_direct_exact_beyond_double_range(capsys, k5_file):
     assert (rc, out) == (4, "") and "out of double range" in err
     rc, _, err = run(capsys, "direct", k5_file, "--alpha", "nan")
     assert rc == 2 and "alpha must be finite" in err
+
+
+@pytest.mark.parametrize("argv, index, alpha", [
+    (("--alpha", "1e6"), "randic", "1e+06"),  # a power past the double range
+    (("--alpha", "400"), "randic", "400"),  # 9**400
+    (("--degree-sum", "--alpha", "1e6"), "degree_power_sum", "1e+06"),
+])
+def test_direct_names_the_index_past_the_double_range(capsys, k4_file, argv, index, alpha):
+    rc, out, err = run(capsys, "direct", k4_file, *argv)
+    assert (rc, out) == (4, "")
+    assert err == f"error: out of double range: float {index} index at alpha={alpha} exceeds the double range\n"
 
 
 def test_verify_passes_and_reports(capsys, k3_file, tmp_path):

@@ -67,14 +67,39 @@ def test_a_class_without_edges_at_a_level_does_not_overflow_it():
         sx.polymeric_randic(k2, 3, 300.0)
 
 
+def assert_float_levels_follow_their_exact_twins(g: sx.Graph) -> None:
+    """Both variants at t = 1..4 and integer alpha 100..520: a float level
+    whose exact twin is below ``2**1023`` answers within 1e-15 of it, and one
+    whose twin is at least ``2**1025`` raises; the binade between is left to
+    rounding. Every base meets both sides on this grid."""
+    seen = Counter()
+    for variant in "SP":
+        table = sx.count_table(g, variant)
+        for alpha in range(100, 521):
+            form, twin = table.weigh(float(alpha)), table.weigh(sx.IndexParams(alpha, exact=True))
+            for t in (1, 2, 3, 4):
+                exact = twin.at(t).exact
+                if exact < 2 ** 1023:
+                    assert abs(form.at(t).value - exact) <= 1e-15 * exact, (variant, alpha, t)
+                    seen["answers"] += 1
+                elif exact >= 2 ** 1025:
+                    message = rf"^float {variant} index at t={t}, alpha={alpha} exceeds the double range$"
+                    with pytest.raises(OverflowError, match=message):
+                        form.at(t)
+                    seen["raises"] += 1
+    assert seen["answers"] and seen["raises"], seen
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_a_float_level_answers_wherever_its_exact_twin_fits(corpus, name):
-    # 253 of these cells raised while every weight past the range was folded in
-    g = corpus[name]
-    for alpha in range(100, 400):
-        exact = sx.polymeric_randic(g, 2, sx.IndexParams(alpha, exact=True)).exact
-        if exact < 2 ** 1023:
-            assert abs(sx.polymeric_randic(g, 2, float(alpha)).value - exact) <= 1e-15 * exact, alpha
+    # at P t=2, 253 of these cells raised while every weight past the range was folded in
+    assert_float_levels_follow_their_exact_twins(corpus[name])
+
+
+@given(connected_graphs(max_n=6))
+@settings(max_examples=8, deadline=None)
+def test_a_float_level_answers_wherever_its_exact_twin_fits_on_random_graphs(g):
+    assert_float_levels_follow_their_exact_twins(g)
 
 
 def test_a_power_past_the_double_range_is_refused_per_level():

@@ -70,10 +70,9 @@ def general(form, t: int, parts: bool = False):
     report = outcome(form.at, t, parts)
     if report is not OverflowError:
         return report.breakdown.parts if parts else report.value
-    lead = form.base.n ** (t - 2)
-    x, y, z = form.overflow  # edges whose weight is past the double range
-    if not parts or x * lead + y * t + z:
+    if not parts:
         return OverflowError
+    lead = form.base.n ** (t - 2)
     return outcome(lambda: sx.PolymericParts(*((a * lead + b * t + c) / form.den for a, b, c in form.parts)))
 
 
@@ -157,3 +156,9 @@ def test_every_family_callable_raises_past_the_double_range():
 def test_a_power_past_the_double_range_names_the_formula():
     with pytest.raises(OverflowError, match=r"^float sierpinski_complete index at t=2, alpha=1e\+06 exceeds"):
         sp.sierpinski_complete(5, 2, 1e6)
+
+
+def test_a_seven_part_total_past_the_double_range_is_refused_by_name():
+    parts = sp.polymeric_complete(4, 510, 0.5)  # every part fits, their sum does not
+    with pytest.raises(OverflowError, match=r"^float P parts total exceeds the double range$"):
+        parts.total
