@@ -110,6 +110,8 @@ def _cmd_closed(args) -> int:
 
 
 def _cmd_direct(args) -> int:
+    if args.degree_sum and args.exact:
+        raise ValueError("--exact applies to the randic index only, not to --degree-sum")
     g = _load_graph(args.graph)
     index = "degree_power_sum" if args.degree_sum else "randic"
     try:
@@ -120,7 +122,7 @@ def _cmd_direct(args) -> int:
     except OverflowError:  # a power or the float sum past the double range
         raise OverflowError(f"float {index} index at alpha={args.alpha:g} exceeds the double range") from None
     doc = {"index": index, "alpha": args.alpha, "value": closedform._float_or_none(value)}
-    if args.exact and not args.degree_sum:
+    if args.exact:
         doc["exact"] = str(value)
     _write_out(_json_text(doc), args.out)
     return 0
@@ -252,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("direct", help="index of an explicit graph file (JSON)")
     p.add_argument("graph")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--exact", action="store_true", help="exact integers (integer alpha >= 1); not with --degree-sum")
     p.add_argument("--degree-sum", action="store_true",
                    help="sum deg(v)**alpha over vertices instead of the edge index")
     add_out(p)

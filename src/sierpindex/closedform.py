@@ -12,10 +12,12 @@ division. :func:`compile_index` is the two in a row.
 
 Exact mode (integer ``alpha >= 1``) returns the integer index. Float mode
 returns the correctly rounded value of the exact sum, over the expansion's
-edges, of ``fl(a**alpha * b**alpha)`` for end degrees ``a`` and ``b``: each
-power and each product is rounded once, and the sum once more at the end. A
-value past the double range raises :class:`OverflowError`; a degree class with
-no edges at a level adds nothing there, whatever its weight.
+edges, of ``fl((a*b)**alpha)`` for end degrees ``a`` and ``b``: each edge
+weighs one rounded power, as :func:`.graphs.randic_index` weighs it, and the
+sum is rounded once at the end, so every float level equals ``randic_index``
+of the built expansion bit for bit. A value past the double range raises
+:class:`OverflowError`; a degree class with no edges at a level adds nothing
+there, whatever its weight.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def vertex_class_counts(base: Graph, x: int, t: int) -> VertexClassCounts:
 
 @dataclass(frozen=True)
 class EdgeTerm:
-    """One degree-class contribution: ``count * dx**alpha * dy**alpha``."""
+    """One degree-class contribution: ``count * (dx*dy)**alpha``."""
 
     count: int
     degrees: tuple[int, int]
@@ -262,31 +264,31 @@ def _copies(n: int, pairs: dict, shift: int) -> tuple[dict, dict]:
 
 
 def _weights(p: IndexParams, pairs: set) -> tuple[dict[tuple[int, int], int], int, dict[int, Number]]:
-    """The one weigher: ``fl(a**alpha * b**alpha) * 2**E`` per pair ``(a, b)``
-    as an exact integer (the exact product in exact mode, with ``E = 0``); also
-    ``E`` and the powers ``k**alpha``. A weight past the double range, or with
-    a power past it, is ``2**(E + 1024)``: every count is a nonnegative integer
-    and every other weight nonnegative, so one edge of that pair puts a level's
-    quotient past the double range, and a pair with no edges adds nothing."""
-    alpha, powers, weights = p.int_alpha if p.exact else p.alpha, {}, {}
-    for k in {k for pair in pairs for k in pair}:
+    """The one weigher: per pair ``(a, b)``, ``fl((a*b)**alpha) * 2**E`` as an
+    exact integer, one rounded power per degree product as the oracle weighs an
+    edge (the exact power in exact mode, with ``E = 0``); also ``E`` and the
+    powers ``k**alpha`` keyed by product ``k``. A power past the double range weighs
+    ``2**(E + 1024)``: every count is a nonnegative integer and every other
+    weight nonnegative, so one edge of that pair puts a level's quotient past
+    the double range, and a pair with no edges adds nothing."""
+    alpha, powers, scaled = p.int_alpha if p.exact else p.alpha, {}, {}
+    for k in {a * b for a, b in pairs}:
         try:
             powers[k] = k ** alpha
         except OverflowError:
             powers[k] = math.inf
     if p.exact:
-        return {(a, b): powers[a] * powers[b] for a, b in pairs}, 0, powers
-    # fl(pa * pb) * 2**E is an integer: its last bit is at least 2**(ea + eb - 54)
-    # for frexp exponents ea, eb, and never below 2**-1074
-    E = min(1074, max(0, 54 - 2 * math.frexp(min(filter(None, powers.values()), default=1.0))[1]))
-    for pair in pairs:
-        prod = powers[pair[0]] * powers[pair[1]]
+        return {(a, b): powers[a * b] for a, b in pairs}, 0, powers
+    # w * 2**E is an integer for every power w: its last bit is at least 2**(e - 53)
+    # for frexp exponent e, and never below 2**-1074
+    E = min(1074, max(0, 53 - math.frexp(min(filter(None, powers.values()), default=1.0))[1]))
+    for k, w in powers.items():
         try:
-            weights[pair] = int(math.ldexp(prod, E))
-        except OverflowError:  # prod * 2**E is past the double range, or prod is
-            num, den = prod.as_integer_ratio() if prod < math.inf else (1 << 1024, 1)  # den is a power of two
-            weights[pair] = num << (E + 1 - den.bit_length())
-    return weights, E, powers
+            scaled[k] = int(math.ldexp(w, E))
+        except OverflowError:  # w * 2**E is past the double range, or w is
+            num, den = w.as_integer_ratio() if w < math.inf else (1 << 1024, 1)  # den is a power of two
+            scaled[k] = num << (E + 1 - den.bit_length())
+    return {(a, b): scaled[a * b] for a, b in pairs}, E, powers
 
 
 def _fold(parts: tuple[Part, ...], columns: dict[str, dict], weights: dict) -> list[Triple]:
@@ -311,20 +313,27 @@ def _overflow(what: str, t: int, alpha: float) -> OverflowError:
     return OverflowError(f"float {what} index at t={t}, alpha={alpha:g} exceeds the double range")
 
 
+def _ratio(num: int, den: int, p: IndexParams, what: str, t: int) -> Number:
+    """``num / den``: the exact quotient, or the correctly rounded float; past
+    the double range it raises, naming ``what``, ``t`` and alpha."""
+    if p.exact:
+        return _int_ratio(num, den)
+    try:
+        return num / den
+    except OverflowError:
+        raise _overflow(what, t, p.alpha) from None
+
+
 def _weigh_terms(what: str, t: int, alpha: float, *tables) -> Number | PolymericParts:
-    """Each table of ``(count, a, b)`` terms summed as ``count * fl(a**alpha *
-    b**alpha)``, correctly rounded, all over one weigher: one table gives its
-    value, seven give the :class:`PolymericParts`. Past the double range it
-    raises, naming ``what`` (and the part), ``t`` and alpha."""
+    """Each table of ``(count, a, b)`` terms summed as ``count * fl((a*b)**alpha)``,
+    correctly rounded (the exact integer in exact mode), all over one weigher:
+    one table gives its value, seven give the :class:`PolymericParts`. Past the
+    double range it raises, naming ``what`` (and the part), ``t`` and alpha."""
     p = as_params(alpha)
     weights, E, _ = _weights(p, {(a, b) for table in tables for _, a, b in table})
     names = [what] if len(tables) == 1 else [f"{what} {field}" for field in PolymericParts._fields]
-    values = []
-    for name, table in zip(names, tables):
-        try:
-            values.append(sum(c * weights[a, b] for c, a, b in table) / (1 << E))
-        except OverflowError:
-            raise _overflow(name, t, p.alpha) from None
+    values = [_ratio(sum(c * weights[a, b] for c, a, b in table), 1 << E, p, name, t)
+              for name, table in zip(names, tables)]
     return values[0] if len(tables) == 1 else PolymericParts(*values)
 
 
@@ -335,9 +344,8 @@ class CountTable:
     the seven :class:`PolymericParts` for ``P``) a pair has
     ``sum(columns[name][pair] * (x*N + y*t + z)) / (n-1)**2`` edges at level
     ``t >= 2`` over the part's groups ``((x, y, z), name)``, ``N = n**(t-2)``.
-    ``level1`` is the level-1 part of ``P``, a hub over the base (empty for
-    ``S``, whose level 1 is the base itself). Hold one to weigh several
-    exponents."""
+    ``level1`` is the level-1 part: the base itself for ``S``, a hub over the
+    base for ``P``. Hold one to weigh several exponents."""
 
     variant: str
     base: Graph
@@ -369,14 +377,16 @@ def count_table(base: Graph, variant: str) -> CountTable:
     n, u, deg = base.n, base.n - 1, base.degrees()
     tau = edge_triangles(base)
     pairs = _degree_pairs(base, deg, tau)
-    # numerators over (n-1)**2 of n**(t-2) and repunit(n, t-2)
-    lead, psi2 = (u * u, 0, 0), (u, 0, -u)
+    edges0 = {pair: size for pair, (size, _) in pairs.items()}
+    # numerators over (n-1)**2 of 1, n**(t-2) and repunit(n, t-2)
+    one, lead, psi2 = (0, 0, u * u), (u * u, 0, 0), (u, 0, -u)
     if variant == "S":
         lead0, rep0 = _copies(n, pairs, 0)
-        return CountTable("S", base, tau, {"lead": lead0, "rep": rep0}, (((lead, "lead"), (psi2, "rep")),), ())
-    # numerators of 1, n**(t-1), repunit(n, t-1), and the level sums over i = 2..t-1
+        return CountTable("S", base, tau, {"lead": lead0, "rep": rep0, "edges0": edges0},
+                          (((lead, "lead"), (psi2, "rep")),), ((one, "edges0"),))
+    # numerators of n**(t-1), repunit(n, t-1), and the level sums over i = 2..t-1
     # of repunit(n, i-1) and repunit(n, i-2) and over i = 1..t-1 of repunit(n, i-1)
-    one, top, psi1 = (0, 0, u * u), (u * u * n, 0, 0), (u * n, 0, -u)
+    top, psi1 = (u * u * n, 0, 0), (u * n, 0, -u)
     mid_hub, mid_copy, links = (n, -u, 2 * u - n), (1, -u, 2 * u - 1), (n, -u, u - 1)
     # the hub edges to the base vertices: the root hub's (degree n) at base
     # degree + 1 (level 1) and + 2, the other hubs' (degree n + 1) at + 1 and
@@ -389,10 +399,11 @@ def count_table(base: Graph, variant: str) -> CountTable:
         up = (d + 3, hub) if d + 3 <= hub else (hub, d + 3)
         rise[up], rise[d + 2, hub] = rise.get(up, 0) + size * d, rise.get((d + 2, hub), 0) - size * d
         drop[d + 2, hub], drop[d + 1, hub] = drop.get((d + 2, hub), 0) + size * d, drop.get((d + 1, hub), 0) - size * d
-    (lead1, rep1), edges1 = _copies(n, pairs, 1), {(dx + 1, dy + 1): size for (dx, dy), (size, _) in pairs.items()}
 
     def lift(col: dict) -> dict:  # the same edges with both end degrees one higher
         return {(a + 1, b + 1): k for (a, b), k in col.items()}
+
+    (lead1, rep1), edges1 = _copies(n, pairs, 1), lift(edges0)
 
     columns = {"root1": root1, "root2": root2, "hub1": hub1, "hub2": hub2, "rise": rise, "drop": drop,
                "lead1": lead1, "rep1": rep1, "lead2": lift(lead1), "rep2": lift(rep1), "edges1": edges1,
@@ -419,8 +430,8 @@ class LevelForm:
     ``N = n**(t-2)``; ``den`` is ``(n-1)**2``, times ``2**E`` in float mode.
     A weight past the double range is ``2**(E + 1024)`` in every numerator,
     so a level where its pair has edges raises in that one division.
-    ``level1`` is the polymeric level-1 numerator (0 for ``S``, whose level 1
-    is ``randic_index`` of the base). ``tau`` and ``powers`` serve breakdowns."""
+    ``level1`` is the level-1 numerator over ``den``, of either variant.
+    ``tau`` and ``powers`` (keyed by degree product) serve breakdowns."""
 
     variant: str
     base: Graph
@@ -437,16 +448,12 @@ class LevelForm:
         and one division; a breakdown evaluates the per-class counters at ``t``."""
         t, p, n = _int_arg(t, 1), self.params, self.base.n
         if t == 1:  # no breakdown
-            try:
-                value = randic_index(self.base, p) if self.variant == "S" else self._ratio(t, self.level1)
-            except OverflowError:
-                raise self._overflow(t) from None
-            return _report(self.variant, t, p, value, None)
+            return _report(self.variant, t, p, _ratio(self.level1, self.den, p, self.variant, t), None)
         if not p.exact and self._past_double_range(t):
-            raise self._overflow(t)
+            raise _overflow(self.variant, t, p.alpha)
         lead = n ** (t - 2)
         evaluated = (self.total, *self.parts) if include_breakdown else (self.total,)
-        total, *parts = (self._ratio(t, a * lead + b * t + c) for a, b, c in evaluated)
+        total, *parts = (_ratio(a * lead + b * t + c, self.den, p, self.variant, t) for a, b, c in evaluated)
         if not include_breakdown:
             return _report(self.variant, t, p, total, None)
         psi2 = (lead - 1) // (n - 1)  # repunit(n, t-2)
@@ -455,18 +462,6 @@ class LevelForm:
         mid_copy = (psi2 - (t - 2)) // (n - 1)  # sum of repunit(n, i-2) over levels i = 2..t-1
         mid, top = self._edge_weights(psi2, mid_copy, 2), self._edge_weights(lead, psi2, 1)
         return _report("P", t, p, total, PolymericBreakdown(PolymericParts(*parts), mid, top))
-
-    def _overflow(self, t: int) -> OverflowError:
-        return _overflow(self.variant, t, self.params.alpha)
-
-    def _ratio(self, t: int, num: int) -> Number:
-        """``num / den``: the exact quotient, or the correctly rounded float."""
-        if self.params.exact:
-            return _int_ratio(num, self.den)
-        try:
-            return num / self.den
-        except OverflowError:
-            raise self._overflow(t) from None
 
     def _past_double_range(self, t: int) -> bool:
         """Whether the float total is certainly at least ``2**1024``, from bit
@@ -488,7 +483,7 @@ class LevelForm:
             counters = _counters(base.n, dx, dy, tau, lead, rep)
             a, b = dx + shift, dy + shift
             degrees = ((a, b), (a, b + 1), (a + 1, b), (a + 1, b + 1))
-            values = [c * (pw[x] * pw[y]) if c or exact else 0.0 for c, (x, y) in zip(counters, degrees)]
+            values = [c * pw[x * y] if c or exact else 0.0 for c, (x, y) in zip(counters, degrees)]
             rows[dx, dy, tau] = tuple(map(EdgeTerm, counters, degrees, values)), add(values)
         return tuple(EdgeWeight(x, y, *rows[key]) for (x, y), key in zip(base.iter_edges(), keys))
 

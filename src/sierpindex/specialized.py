@@ -3,8 +3,10 @@
 Each function reduces one base family (complete, cycle, star, path, regular,
 bipartite semiregular) to a private table of exact ``(count, a, b)`` terms at
 its level, ``count`` expansion edges with end degrees ``a`` and ``b``, weighed
-by the closed form's weigher: the value equals the general evaluator's bit for
-bit, and one past the double range raises :class:`OverflowError`. The tables
+by the closed form's weigher as ``count * fl((a*b)**alpha)``: the value equals
+the general evaluator's bit for bit (its exact integer for an exact
+:class:`.graphs.IndexParams`), and one past the double range raises
+:class:`OverflowError`. The tables
 share no code with :func:`.closedform.count_table`, so they check its
 counting; the test suite checks them against it at three levels, which
 settles every level, and against explicit construction.

@@ -4,11 +4,12 @@ The closed forms: every base edge gets its own ``triangles_on_edge`` call,
 counters and four :class:`EdgeTerm` objects, every hub edge of the polymeric
 expansion is counted per base vertex, and the index is summed in exact
 ``Fraction`` arithmetic over those copies: in float mode each copy weighs
-``fl(a**alpha * b**alpha)`` for its end degrees ``a`` and ``b``, and the exact
-sum is rounded once at the end. Level 1 of the polymeric expansion keeps its
-own vertex-by-vertex loop. Counters, powers and the integrality check are
-this module's own copies, and :func:`report_json` renders a report edge by
-edge, term by term, so the reference calls none of the code it checks.
+``fl((a*b)**alpha)`` for its end degrees ``a`` and ``b``, as ``randic_index``
+weighs an edge, and the exact sum is rounded once at the end. Level 1 of the
+polymeric expansion keeps its own vertex-by-vertex loop. Counters, powers and
+the integrality check are this module's own copies, and :func:`report_json`
+renders a report edge by edge, term by term, so the reference calls none of
+the code it checks.
 
 The oracle and edge-list I/O: a reader that checks one line at a time, a
 writer that formats one edge at a time, ``randic_index`` summed edge by edge,
@@ -176,8 +177,8 @@ def _power(d, p):
 
 def _weight(a, b, p):
     """The weight of one expansion edge with end degrees ``a`` and ``b``: the
-    integer ``a**alpha * b**alpha``, or the float product as an exact Fraction."""
-    w = _power(a, p) * _power(b, p)
+    integer ``(a*b)**alpha``, or the float power as an exact Fraction."""
+    w = _power(a * b, p)
     return w if p.exact else Fraction(w)
 
 
@@ -218,7 +219,7 @@ def _edge_weight(x, y, dx, dy, counters, shift, p):
     exact = 0
     for (i, j), count in zip(((0, 0), (0, 1), (1, 0), (1, 1)), counters):
         a, b = dx + shift + i, dy + shift + j
-        value = count * (_power(a, p) * _power(b, p))
+        value = count * _power(a * b, p)
         terms.append(EdgeTerm(count, (a, b), value))
         exact += count * _weight(a, b, p)
     weight = sum(t.value for t in terms) if p.exact else math.fsum(t.value for t in terms)

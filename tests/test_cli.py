@@ -206,6 +206,13 @@ def test_direct_names_the_index_past_the_double_range(capsys, k4_file, argv, ind
     assert err == f"error: out of double range: float {index} index at alpha={alpha} exceeds the double range\n"
 
 
+@pytest.mark.parametrize("alpha", ["0.5", "2", "700"])
+def test_direct_refuses_exact_degree_sums(capsys, k4_file, alpha):
+    rc, out, err = run(capsys, "direct", k4_file, "--degree-sum", "--alpha", alpha, "--exact")
+    assert (rc, out) == (2, "")
+    assert err == "error: --exact applies to the randic index only, not to --degree-sum\n"
+
+
 def test_verify_passes_and_reports(capsys, k3_file, tmp_path):
     report = tmp_path / "report.json"
     rc, out, _ = run(capsys, "verify", k3_file, "--t", "1..3",

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import sierpindex as sx
 from sierpindex.closedform import PolymericParts
 
 import per_edge_reference as reference
 from conftest import ALPHAS, CORPUS_NAMES, rel_close
+from test_properties import connected_graphs
 
 
 # -- repunit ---------------------------------------------------------------------
@@ -125,6 +127,31 @@ def test_expansion_matches_construction(corpus, name, t):
     for alpha in ALPHAS:
         closed = sx.sierpinski_randic(g, t, alpha).value
         assert rel_close(closed, sx.randic_index(built, alpha)), (name, t, alpha)
+
+
+ORACLE_ALPHAS = (-2.0, -1.0, -0.5, -1 / 3, 0.5, 1.5, 2.0, 3.7)
+
+
+def assert_float_levels_are_the_oracle(g: sx.Graph) -> None:
+    """Every float level t = 1..3 of both variants equals ``randic_index`` of
+    the built expansion with ``==``: both are the correctly rounded exact sum
+    of ``fl((a*b)**alpha)`` over the same edges."""
+    for closed, build in ((sx.sierpinski_randic, sx.sierpinski_graph), (sx.polymeric_randic, sx.polymeric_graph)):
+        for t in (1, 2, 3):
+            built = build(g, t)
+            for alpha in ORACLE_ALPHAS:
+                assert closed(g, t, alpha).value == sx.randic_index(built, alpha), (closed.__name__, t, alpha)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_float_levels_are_the_oracle_bit_for_bit(corpus, name):
+    assert_float_levels_are_the_oracle(corpus[name])
+
+
+@given(connected_graphs())
+@settings(max_examples=25, deadline=None)
+def test_float_levels_are_the_oracle_bit_for_bit_on_random_graphs(g):
+    assert_float_levels_are_the_oracle(g)
 
 
 def test_rejects_zero_alpha_and_bad_t():

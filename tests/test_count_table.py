@@ -21,10 +21,9 @@ def census(built: sx.Graph) -> Counter:
 
 
 def assert_table_is_the_census(base: sx.Graph) -> None:
-    # level 1 of S is the base itself, read by randic_index: its table starts at t = 2
-    for variant, build, levels in (("S", sx.sierpinski_graph, (2, 3, 4)), ("P", sx.polymeric_graph, (1, 2, 3, 4))):
+    for variant, build in (("S", sx.sierpinski_graph), ("P", sx.polymeric_graph)):
         table = sx.count_table(base, variant)
-        for t in levels:
+        for t in (1, 2, 3, 4):
             assert sum(table_counts(table, t), Counter()) == census(build(base, t)), (variant, t)
 
 

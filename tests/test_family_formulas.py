@@ -1,8 +1,8 @@
 """The family formulas of :mod:`sierpindex.specialized` count what the count
 table counts and follow the closed form's float contract: on a grid of bases,
-exponents and levels each one equals the general evaluator with ``==`` and
-raises :class:`OverflowError` exactly where it does, and no public family call
-returns ``inf`` or ``nan``."""
+exponents and levels each one equals the general evaluator with ``==`` (its
+exact integer in exact mode) and raises :class:`OverflowError` exactly where
+it does, and no public family call returns ``inf`` or ``nan``."""
 
 import inspect
 from collections import Counter
@@ -14,7 +14,8 @@ from sierpindex import specialized as sp
 
 from conftest import table_counts
 
-ALPHAS = [-2.0, -1.0, -0.5, -1 / 3, 0.5, 1.0, 1.5, 2.0, 3, 7.5, 40.0, 123.0, 300.0]  # 3: an int alpha
+ALPHAS = [-2.0, -1.0, -0.5, -1 / 3, 0.5, 1.0, 1.5, 2.0, 3, 7.5, 40.0, 123.0, 300.0,  # 3: an int alpha
+          sx.IndexParams(1, exact=True), sx.IndexParams(2, exact=True)]
 LEVELS = [*range(2, 41), 50, 100, 200, 323, 394, 510, 1000, 3000, 10_000]
 
 
@@ -61,15 +62,15 @@ def outcome(fn, *args):
 
 
 def general(form, t: int, parts: bool = False):
-    """The general evaluator at level ``t``: the value, or with ``parts`` the
-    seven polymeric parts; OverflowError where it raises. Where only a
-    polymeric total is past the double range, the parts are still compared,
-    each divided as ``LevelForm.at`` divides it."""
+    """The general evaluator at level ``t``: the value (``.exact`` in exact
+    mode), or with ``parts`` the seven polymeric parts; OverflowError where it
+    raises. Where only a polymeric total is past the double range, the parts
+    are still compared, each divided as ``LevelForm.at`` divides it."""
     if form is OverflowError:
         return form
     report = outcome(form.at, t, parts)
     if report is not OverflowError:
-        return report.breakdown.parts if parts else report.value
+        return report.breakdown.parts if parts else report.exact if form.params.exact else report.value
     if not parts:
         return OverflowError
     lead = form.base.n ** (t - 2)
@@ -89,6 +90,14 @@ def test_family_formulas_equal_the_general_evaluator_bit_for_bit(name):
                 assert outcome(fn, *params, t, alpha) == general(s_form, t), (fn.__name__, t, alpha)
             for fn, params in polymeric:
                 assert outcome(fn, *params, t, alpha) == general(p_form, t, parts=True), (fn.__name__, t, alpha)
+
+
+def test_exact_family_values_are_integers():
+    exact = sx.IndexParams(2, exact=True)
+    value = sp.sierpinski_complete(4, 3, exact)
+    assert type(value) is int and value == 30912
+    assert sp.sierpinski_complete(4, 600, exact) == sx.sierpinski_randic(sx.complete_graph(4), 600, exact).exact
+    assert all(type(part) is int for part in sp.polymeric_complete(4, 600, exact))
 
 
 def terms(table) -> Counter:
