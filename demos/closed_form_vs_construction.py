@@ -37,12 +37,14 @@ if mismatches:
     print("\n".join(mismatches))
     sys.exit(1)
 
-# The per-edge breakdown shows where a value comes from.
-report = sx.sierpinski_randic(sx.star_graph(3), 2, -0.5, include_breakdown=True)
-print(f"\n3-star, two levels, alpha=-1/2: value {report.value:.10f}")
-for w in report.breakdown.edge_weights:
-    terms = ", ".join(f"{term.count} copies at {term.degrees}" for term in w.terms)
-    print(f"  edge {{{w.x},{w.y}}}: {terms} -> {w.weight:.10f}")
+# The breakdown shows where a value comes from: the base edges by class
+# (end degrees, triangles), one row per class with its edge count.
+report = sx.sierpinski_randic(sx.demo_graph(), 2, -0.5, include_breakdown=True)
+print(f"\ndemo base, two levels, alpha=-1/2: value {report.value:.10f}")
+for c in report.breakdown.classes:
+    terms = ", ".join(f"{term.count} at {term.degrees}" for term in c.terms)
+    print(f"  {c.edges} edge(s) of degrees {c.degrees}, {c.triangles} triangle(s): {terms} -> {c.weight:.10f} each")
+print(f"  class of each base edge: {list(report.breakdown.edge_class)}")
 
 # For triangle-free bases there is also a two-sided envelope; it pinches to
 # the exact value exactly when the base is regular.

@@ -111,10 +111,35 @@ class EdgeWeight:
 
 
 @dataclass(frozen=True)
-class SierpinskiBreakdown:
-    """Per base edge: the four degree-class terms composing its weight."""
+class EdgeClass:
+    """``edges`` canonical base edges with end degrees ``degrees`` and
+    ``triangles`` triangles: each adds its four ``terms``, ``weight`` in all."""
 
-    edge_weights: tuple[EdgeWeight, ...]
+    degrees: tuple[int, int]
+    triangles: int
+    edges: int
+    terms: tuple[EdgeTerm, ...]
+    weight: Number
+
+
+def _per_edge(base: Graph, classes: tuple[EdgeClass, ...], edge_class: tuple[int, ...]) -> tuple[EdgeWeight, ...]:
+    return tuple(EdgeWeight(x, y, classes[i].terms, classes[i].weight)
+                 for (x, y), i in zip(base.iter_edges(), edge_class))
+
+
+@dataclass(frozen=True)
+class SierpinskiBreakdown:
+    """The base edges by class ``(dx, dy, tau)``, sorted, and the class of
+    each canonical edge of ``base``."""
+
+    classes: tuple[EdgeClass, ...]
+    edge_class: tuple[int, ...]
+    base: Graph
+
+    @property
+    def edge_weights(self) -> tuple[EdgeWeight, ...]:
+        """Per canonical edge, the terms and weight of its class."""
+        return _per_edge(self.base, self.classes, self.edge_class)
 
 
 class PolymericParts(NamedTuple):
@@ -149,11 +174,21 @@ class PolymericParts(NamedTuple):
 
 @dataclass(frozen=True)
 class PolymericBreakdown:
-    """Seven-part split plus per-edge weights of the two expansion groups."""
+    """Seven-part split plus the two expansion groups by class, one edge index."""
 
     parts: PolymericParts
-    copies_mid_edges: tuple[EdgeWeight, ...]
-    copies_top_edges: tuple[EdgeWeight, ...]
+    copies_mid: tuple[EdgeClass, ...]
+    copies_top: tuple[EdgeClass, ...]
+    edge_class: tuple[int, ...]
+    base: Graph
+
+    @property
+    def copies_mid_edges(self) -> tuple[EdgeWeight, ...]:
+        return _per_edge(self.base, self.copies_mid, self.edge_class)
+
+    @property
+    def copies_top_edges(self) -> tuple[EdgeWeight, ...]:
+        return _per_edge(self.base, self.copies_top, self.edge_class)
 
 
 @dataclass(frozen=True)
@@ -186,26 +221,20 @@ def _num_json(v: Number | None):
     return str(v) if isinstance(v, int) else v
 
 
-def _edge_weights_json(weights: tuple[EdgeWeight, ...]) -> list[dict]:
-    # a degree class's edges share their terms and weight objects: render those once
-    # (ids are stable while `weights` holds them), but give each edge its own containers
-    rendered, docs = {}, []
-    for w in weights:
-        if (key := (id(w.terms), id(w.weight))) not in rendered:
-            rendered[key] = [(str(u.count), *u.degrees, _num_json(u.value)) for u in w.terms], _num_json(w.weight)
-        rows, weight = rendered[key]
-        terms = [{"count": c, "degrees": [a, b], "value": v} for c, a, b, v in rows]
-        docs.append({"edge": [w.x, w.y], "terms": terms, "weight": weight})
-    return docs
-
-
 def _breakdown_json(breakdown) -> dict:
+    def table(classes: tuple[EdgeClass, ...]) -> list[dict]:
+        return [{"degrees": list(c.degrees), "triangles": c.triangles, "edges": c.edges,
+                 "terms": [{"count": str(u.count), "degrees": list(u.degrees), "value": _num_json(u.value)}
+                           for u in c.terms],
+                 "weight": _num_json(c.weight)} for c in classes]
+
     if isinstance(breakdown, SierpinskiBreakdown):
-        return {"edge_weights": _edge_weights_json(breakdown.edge_weights)}
+        return {"classes": table(breakdown.classes), "edge_class": list(breakdown.edge_class)}
     return {
         "parts": {k: _num_json(v) for k, v in breakdown.parts.as_dict().items()},
-        "copies_mid_edges": _edge_weights_json(breakdown.copies_mid_edges),
-        "copies_top_edges": _edge_weights_json(breakdown.copies_top_edges),
+        "copies_mid": table(breakdown.copies_mid),
+        "copies_top": table(breakdown.copies_top),
+        "edge_class": list(breakdown.edge_class),
     }
 
 
@@ -457,11 +486,18 @@ class LevelForm:
         if not include_breakdown:
             return _report(self.variant, t, p, total, None)
         psi2 = (lead - 1) // (n - 1)  # repunit(n, t-2)
+        # the edges by sorted class (dx, dy, tau), as int64 keys below n**2 and m**2
+        deg, e, d, k = self.base.degrees(), self.base.edges, self.base.n, int(self.tau.max()) + 1
+        pairs, pair = np.unique(deg[e[:, 0]] * d + deg[e[:, 1]], return_inverse=True)
+        keys, index, sizes = np.unique(pair * k + self.tau, return_inverse=True, return_counts=True)
+        pairs, edge_class = pairs.tolist(), tuple(index.tolist())
+        classes = [(*divmod(pairs[i // k], d), i % k, size) for i, size in zip(keys.tolist(), sizes.tolist())]
         if self.variant == "S":
-            return _report("S", t, p, total, SierpinskiBreakdown(self._edge_weights(lead, psi2, 0)))
+            return _report("S", t, p, total, SierpinskiBreakdown(
+                self._class_terms(classes, lead, psi2, 0), edge_class, self.base))
         mid_copy = (psi2 - (t - 2)) // (n - 1)  # sum of repunit(n, i-2) over levels i = 2..t-1
-        mid, top = self._edge_weights(psi2, mid_copy, 2), self._edge_weights(lead, psi2, 1)
-        return _report("P", t, p, total, PolymericBreakdown(PolymericParts(*parts), mid, top))
+        mid, top = self._class_terms(classes, psi2, mid_copy, 2), self._class_terms(classes, lead, psi2, 1)
+        return _report("P", t, p, total, PolymericBreakdown(PolymericParts(*parts), mid, top, edge_class, self.base))
 
     def _past_double_range(self, t: int) -> bool:
         """Whether the float total is certainly at least ``2**1024``, from bit
@@ -471,21 +507,18 @@ class LevelForm:
         rest = max(b.bit_length() + t.bit_length(), c.bit_length()) + 1  # |b*t + c| < 2**rest
         return a > 0 and low > rest and low - 1 - self.den.bit_length() >= 1024
 
-    def _edge_weights(self, lead: int, rep: int, shift: int) -> tuple[EdgeWeight, ...]:
-        """Per canonical edge, the four degree-class terms of one copy group at
-        ``base degree + shift``, one set of terms per class ``(dx, dy, tau)``;
-        a term with no edges is zero, whatever its weight."""
-        base, pw, exact = self.base, self.powers, self.params.exact
-        deg, e, add = base.degrees(), base.edges, sum if exact else math.fsum
-        keys = list(zip(deg[e[:, 0]].tolist(), deg[e[:, 1]].tolist(), self.tau.tolist()))
-        rows = {}
-        for dx, dy, tau in set(keys):
-            counters = _counters(base.n, dx, dy, tau, lead, rep)
+    def _class_terms(self, classes: list, lead: int, rep: int, shift: int) -> tuple[EdgeClass, ...]:
+        """Per class, the four degree-class terms of one copy group at ``base
+        degree + shift``; a term with no edges is zero, whatever its weight."""
+        n, pw, exact = self.base.n, self.powers, self.params.exact
+        add, rows = sum if exact else math.fsum, []
+        for dx, dy, tau, size in classes:
+            counters = _counters(n, dx, dy, tau, lead, rep)
             a, b = dx + shift, dy + shift
             degrees = ((a, b), (a, b + 1), (a + 1, b), (a + 1, b + 1))
             values = [c * pw[x * y] if c or exact else 0.0 for c, (x, y) in zip(counters, degrees)]
-            rows[dx, dy, tau] = tuple(map(EdgeTerm, counters, degrees, values)), add(values)
-        return tuple(EdgeWeight(x, y, *rows[key]) for (x, y), key in zip(base.iter_edges(), keys))
+            rows.append(EdgeClass((dx, dy), tau, size, tuple(map(EdgeTerm, counters, degrees, values)), add(values)))
+        return tuple(rows)
 
 
 def compile_index(base: Graph, params: IndexParams | float, variant: str) -> LevelForm:

@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 import operator
 
-from .closedform import PolymericParts, _int_ratio, _weigh_terms
+from .closedform import Number, PolymericParts, _int_ratio, _weigh_terms
 from .construct import _int_arg, repunit
+from .graphs import IndexParams
 
 #: Formula variants seen in print that do not survive the construction-oracle
 #: audit. Keys name the corrected public function; values identify the exact
@@ -44,7 +45,7 @@ DISPUTED_PRINTS: dict[str, dict[str, str]] = {
 
 # -- plain expansion families --------------------------------------------------
 
-def sierpinski_regular(n: int, degree: int, triangles: int, t: int, alpha: float) -> float:
+def sierpinski_regular(n: int, degree: int, triangles: int, t: int, alpha: float | IndexParams) -> Number:
     """Index of the level-``t`` expansion of a ``degree``-regular base with
     ``triangles`` triangles (corrected mixed-class coefficient, see
     :data:`DISPUTED_PRINTS`)."""
@@ -57,7 +58,7 @@ def _sierpinski_regular(n: int, d: int, triangles: int, t: int) -> tuple:
     return _regular_copies(n, d, triangles, n ** (t - 2), repunit(n, t - 2), 0)
 
 
-def sierpinski_complete(n: int, t: int, alpha: float) -> float:
+def sierpinski_complete(n: int, t: int, alpha: float | IndexParams) -> Number:
     """Complete base on ``n`` vertices, ``n >= 2``."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
     return _weigh_terms("sierpinski_complete", t, alpha, _sierpinski_complete(n, t))
@@ -67,7 +68,7 @@ def _sierpinski_complete(n: int, t: int) -> tuple:
     return (n * (n - 1), n - 1, n), (_int_ratio(n ** (t + 1) - 2 * n * n + n, 2), n, n)
 
 
-def sierpinski_cycle(n: int, t: int, alpha: float) -> float:
+def sierpinski_cycle(n: int, t: int, alpha: float | IndexParams) -> Number:
     """Cycle base, ``n >= 4`` (the 3-cycle is the complete graph on 3)."""
     n, t = _int_arg(n, 4, "n"), _int_arg(t, 2)
     return _weigh_terms("sierpinski_cycle", t, alpha, _sierpinski_cycle(n, t))
@@ -78,7 +79,7 @@ def _sierpinski_cycle(n: int, t: int) -> tuple:
     return (n * (n - 4) * lead, 2, 2), (4 * n * (lead - psi2), 2, 3), (n * (lead + 5 * psi2), 3, 3)
 
 
-def sierpinski_semiregular(n1: int, n2: int, d1: int, d2: int, t: int, alpha: float) -> float:
+def sierpinski_semiregular(n1: int, n2: int, d1: int, d2: int, t: int, alpha: float | IndexParams) -> Number:
     """Bipartite base with uniform part degrees ``d1`` / ``d2``."""
     (n1, n2, d1, d2), t = _check_semiregular(n1, n2, d1, d2), _int_arg(t, 2)
     return _weigh_terms("sierpinski_semiregular", t, alpha, _sierpinski_semiregular(n1, n2, d1, d2, t))
@@ -91,7 +92,7 @@ def _sierpinski_semiregular(n1: int, n2: int, d1: int, d2: int, t: int) -> tuple
             (m * (d1 * lead - d2 * psi2), d1 + 1, d2), (m * (lead + (d1 + d2 + 1) * psi2), d1 + 1, d2 + 1))
 
 
-def sierpinski_star(r: int, t: int, alpha: float) -> float:
+def sierpinski_star(r: int, t: int, alpha: float | IndexParams) -> Number:
     """Star base with ``r >= 2`` leaves."""
     r, t = _int_arg(r, 2, "r"), _int_arg(t, 2)
     return _weigh_terms("sierpinski_star", t, alpha, _sierpinski_star(r, t))
@@ -102,7 +103,7 @@ def _sierpinski_star(r: int, t: int) -> tuple:
     return ((r - 1) * top + 1, 1, r + 1), (r, 2, r), (2 * top - r - 2, 2, r + 1)
 
 
-def sierpinski_path(n: int, t: int, alpha: float) -> float:
+def sierpinski_path(n: int, t: int, alpha: float | IndexParams) -> Number:
     """Path base on ``n >= 2`` vertices (two-term form for ``n = 2``)."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
     return _weigh_terms("sierpinski_path", t, alpha, _sierpinski_path(n, t))
@@ -123,7 +124,7 @@ def _sierpinski_path(n: int, t: int) -> tuple:
 
 # -- polymeric families ---------------------------------------------------------
 
-def polymeric_level1_regular(n: int, degree: int, alpha: float) -> float:
+def polymeric_level1_regular(n: int, degree: int, alpha: float | IndexParams) -> Number:
     """Level-1 polymeric index for a ``degree``-regular base."""
     n, d = _check_regular(n, degree)
     return _weigh_terms("polymeric_level1_regular", 1, alpha, _polymeric_level1_regular(n, d))
@@ -133,7 +134,7 @@ def _polymeric_level1_regular(n: int, d: int) -> tuple:
     return (n, n, d + 1), (_int_ratio(n * d, 2), d + 1, d + 1)
 
 
-def polymeric_level1_complete(n: int, alpha: float) -> float:
+def polymeric_level1_complete(n: int, alpha: float | IndexParams) -> Number:
     n = _int_arg(n, 2, "n")
     return _weigh_terms("polymeric_level1_complete", 1, alpha, _polymeric_level1_complete(n))
 
@@ -142,7 +143,7 @@ def _polymeric_level1_complete(n: int) -> tuple:
     return (_int_ratio(n * (n + 1), 2), n, n),
 
 
-def polymeric_level1_semiregular(n1: int, n2: int, d1: int, d2: int, alpha: float) -> float:
+def polymeric_level1_semiregular(n1: int, n2: int, d1: int, d2: int, alpha: float | IndexParams) -> Number:
     n1, n2, d1, d2 = _check_semiregular(n1, n2, d1, d2)
     return _weigh_terms("polymeric_level1_semiregular", 1, alpha, _polymeric_level1_semiregular(n1, n2, d1, d2))
 
@@ -152,7 +153,7 @@ def _polymeric_level1_semiregular(n1: int, n2: int, d1: int, d2: int) -> tuple:
     return (n1, n, d1 + 1), (n2, n, d2 + 1), (n1 * d1, d1 + 1, d2 + 1)
 
 
-def polymeric_regular(n: int, degree: int, triangles: int, t: int, alpha: float) -> PolymericParts:
+def polymeric_regular(n: int, degree: int, triangles: int, t: int, alpha: float | IndexParams) -> PolymericParts:
     """Seven-part polymeric index for a ``degree``-regular base, ``t >= 2``."""
     n, d = _check_regular(n, degree)
     tau, t = _check_triangles(n, d, triangles), _int_arg(t, 2)
@@ -177,7 +178,7 @@ def _polymeric_regular(n: int, d: int, tau: int, t: int) -> tuple:
     )
 
 
-def polymeric_complete(n: int, t: int, alpha: float) -> PolymericParts:
+def polymeric_complete(n: int, t: int, alpha: float | IndexParams) -> PolymericParts:
     """Seven-part polymeric index for a complete base, ``t >= 2``."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
     return _weigh_terms("polymeric_complete", t, alpha, *_polymeric_complete(n, t))
@@ -221,7 +222,7 @@ _SIERPINSKI_DISPATCH = {
 }
 
 
-def sierpinski_specialized(family: str, params: tuple, t: int, alpha: float) -> float:
+def sierpinski_specialized(family: str, params: tuple, t: int, alpha: float | IndexParams) -> Number:
     """Dispatch to a family formula: ``complete | cycle | star | path |
     regular | semiregular`` with family-specific ``params``."""
     try:
@@ -240,7 +241,8 @@ _POLYMERIC_LEVEL1_DISPATCH = {
 _POLYMERIC_DISPATCH = {"complete": polymeric_complete, "regular": polymeric_regular}
 
 
-def polymeric_specialized(family: str, params: tuple, t: int, alpha: float) -> float | PolymericParts:
+def polymeric_specialized(family: str, params: tuple, t: int,
+                          alpha: float | IndexParams) -> Number | PolymericParts:
     """Dispatch to a polymeric family formula; level 1 returns a plain value,
     higher levels return the seven-part split."""
     t = _int_arg(t, 1)

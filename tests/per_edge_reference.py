@@ -24,17 +24,11 @@ same graphs, bytes and errors.
 import math
 from collections import deque
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from sierpindex.closedform import (
-    EdgeTerm,
-    EdgeWeight,
-    IndexReport,
-    PolymericBreakdown,
-    PolymericParts,
-    SierpinskiBreakdown,
-)
+from sierpindex.closedform import EdgeTerm, EdgeWeight, IndexReport, PolymericParts
 from sierpindex.construct import repunit
 from sierpindex.graphs import Graph, GraphError, ParseError, as_params, triangles_on_edge
 
@@ -170,6 +164,19 @@ def bipartite_semiregular(g):
 
 
 # -- the closed forms --------------------------------------------------------------
+
+class SierpinskiBreakdown(NamedTuple):
+    """The breakdown edge by edge, as the library gave it before it grouped
+    the edges by class; the library's ``edge_weights`` expand to this."""
+
+    edge_weights: tuple
+
+
+class PolymericBreakdown(NamedTuple):
+    parts: PolymericParts
+    copies_mid_edges: tuple
+    copies_top_edges: tuple
+
 
 def _power(d, p):
     return d ** p.int_alpha if p.exact else d ** p.alpha
@@ -324,7 +331,8 @@ def _edge_weights_json(weights):
 
 
 def report_json(report):
-    """``report.to_json_dict()``, rendering every edge and term on its own."""
+    """The per-edge document of ``report``: what ``to_json_dict`` gave before
+    the breakdown was grouped by class, every edge and term on its own."""
     doc = {"variant": report.variant, "t": report.t, "alpha": report.alpha, "value": report.value}
     bd = report.breakdown
     if isinstance(bd, SierpinskiBreakdown):
@@ -338,3 +346,21 @@ def report_json(report):
     if report.exact is not None:
         doc["exact"] = str(report.exact)
     return doc
+
+
+def expand(doc, base):
+    """The per-edge document of a ``to_json_dict`` document of ``base``: every
+    canonical edge gets the terms and weight of its class."""
+    def edges(classes, edge_class):
+        return [{"edge": [x, y], "terms": classes[i]["terms"], "weight": classes[i]["weight"]}
+                for (x, y), i in zip(base.iter_edges(), edge_class)]
+
+    bd = doc.get("breakdown")
+    if bd is None:
+        return doc
+    if "classes" in bd:
+        per_edge = {"edge_weights": edges(bd["classes"], bd["edge_class"])}
+    else:
+        per_edge = {"parts": bd["parts"], "copies_mid_edges": edges(bd["copies_mid"], bd["edge_class"]),
+                    "copies_top_edges": edges(bd["copies_top"], bd["edge_class"])}
+    return {**doc, "breakdown": per_edge}

@@ -36,10 +36,10 @@ PUBLIC_FIELDS = {
     "IndexParams": ("alpha", "exact"),
     "IndexReport": ("variant", "t", "alpha", "value", "exact", "breakdown", "source"),
     "LevelForm": ("variant", "base", "params", "parts", "total", "level1", "den", "tau", "powers"),
-    "PolymericBreakdown": ("parts", "copies_mid_edges", "copies_top_edges"),
+    "PolymericBreakdown": ("parts", "copies_mid", "copies_top", "edge_class", "base"),
     "PolymericLayout": ("n", "t"),
     "PolymericParts": ("hub_root", "first_copy", "hub_mid", "copies_mid", "level_links", "hub_top", "copies_top"),
-    "SierpinskiBreakdown": ("edge_weights",),
+    "SierpinskiBreakdown": ("classes", "edge_class", "base"),
     "VertexClassCounts": ("x", "c0", "c1"),
 }
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,21 @@ def test_closed_breakdown(capsys, k3_file):
     assert list(parts) == ["hub_root", "first_copy", "hub_mid", "copies_mid",
                            "level_links", "hub_top", "copies_top"]
     assert parts["hub_mid"] == 0 and parts["copies_mid"] == 0
+
+
+def test_closed_breakdown_is_byte_identical_across_hash_seeds(tmp_path):
+    path = tmp_path / "demo.txt"
+    path.write_text(sx.render_edge_list(sx.demo_graph()))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = "import sys; from sierpindex.cli import main; sys.exit(main(sys.argv[1:]))"
+    for variant in "SP":
+        argv = ["closed", str(path), "--variant", variant, "--t", "3", "--alpha", "-0.5", "--breakdown"]
+        outs = [subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60,
+                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+                for seed in ("1", "2")]
+        assert [out.returncode for out in outs] == [0, 0], outs[0].stderr + outs[1].stderr
+        assert outs[0].stdout == outs[1].stdout
+        assert len(json.loads(outs[0].stdout)["breakdown"]["edge_class"]) == 8
 
 
 def test_closed_rejects_zero_alpha(capsys, k3_file):

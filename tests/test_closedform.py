@@ -14,7 +14,7 @@ import sierpindex as sx
 from sierpindex.closedform import PolymericParts
 
 import per_edge_reference as reference
-from conftest import ALPHAS, CORPUS_NAMES, rel_close
+from conftest import ALPHAS, CORPUS_NAMES, build_corpus, rel_close
 from test_properties import connected_graphs
 
 
@@ -182,11 +182,10 @@ def _random_connected_base(seed: int, n: int, m: int) -> sx.Graph:
     return sx.Graph(n, sorted(edges))
 
 
-@pytest.mark.parametrize(
-    "base",
-    [sx.demo_graph(), sx.complete_graph(5), _random_connected_base(7, 30, 90)],
-    ids=["demo7", "K5", "random30"],
-)
+BREAKDOWN_BASES = {**build_corpus(), "random30": _random_connected_base(7, 30, 90)}
+
+
+@pytest.mark.parametrize("base", BREAKDOWN_BASES.values(), ids=BREAKDOWN_BASES)
 def test_breakdown_matches_per_edge_reference(base):
     for t in (2, 3, 9):
         for params in (-0.5, 2.0, sx.IndexParams(1, exact=True)):
@@ -200,7 +199,7 @@ def test_breakdown_matches_per_edge_reference(base):
                     assert got.breakdown.parts == want.breakdown.parts
                     assert got.breakdown.copies_mid_edges == want.breakdown.copies_mid_edges
                     assert got.breakdown.copies_top_edges == want.breakdown.copies_top_edges
-                got_json = json.dumps(got.to_json_dict(), indent=2)
+                got_json = json.dumps(reference.expand(got.to_json_dict(), base), indent=2)
                 assert got_json == json.dumps(reference.report_json(want), indent=2), (got.variant, t, params)
 
 
@@ -454,13 +453,35 @@ def test_report_json_shape():
     doc = sx.sierpinski_randic(g, 2, -0.5, include_breakdown=True).to_json_dict()
     assert list(doc) == ["variant", "t", "alpha", "value", "breakdown"]
     assert doc["variant"] == "S" and doc["t"] == 2
-    assert len(doc["breakdown"]["edge_weights"]) == 3
-    term = doc["breakdown"]["edge_weights"][0]["terms"][0]
-    assert set(term) == {"count", "degrees", "value"}
+    # all three edges of a triangle are in the one class (2, 2, 1)
+    assert list(doc["breakdown"]) == ["classes", "edge_class"]
+    (row,) = doc["breakdown"]["classes"]
+    assert list(row) == ["degrees", "triangles", "edges", "terms", "weight"]
+    assert (row["degrees"], row["triangles"], row["edges"]) == ([2, 2], 1, 3)
+    assert doc["breakdown"]["edge_class"] == [0, 0, 0]
+    term = row["terms"][0]
+    assert list(term) == ["count", "degrees", "value"]
     assert isinstance(term["count"], str)
+
+    doc = sx.polymeric_randic(g, 2, -0.5, include_breakdown=True).to_json_dict()
+    assert list(doc["breakdown"]) == ["parts", "copies_mid", "copies_top", "edge_class"]
 
     exact_doc = sx.sierpinski_randic(g, 2, sx.IndexParams(1, exact=True)).to_json_dict()
     assert exact_doc["exact"] == "90"
+
+
+def test_breakdown_classes_are_sorted():
+    # the edge order of this base is not its class order
+    g = _random_connected_base(7, 30, 90)
+    for closed, group in ((sx.sierpinski_randic, "classes"), (sx.polymeric_randic, "copies_top")):
+        bd = closed(g, 3, -0.5, include_breakdown=True).to_json_dict()["breakdown"]
+        keys = [(*row["degrees"], row["triangles"]) for row in bd[group]]
+        assert keys == sorted(set(keys))
+        assert sorted(set(bd["edge_class"])) == list(range(len(keys)))
+        assert bd["edge_class"] != sorted(bd["edge_class"])
+        deg, tau = g.degrees(), sx.edge_triangles(g)
+        assert [keys[i] for i in bd["edge_class"]] == [(deg[x], deg[y], k) for (x, y), k in zip(g.iter_edges(), tau)]
+        assert [row["edges"] for row in bd[group]] == [bd["edge_class"].count(i) for i in range(len(keys))]
 
 
 def test_report_json_is_deterministic():

@@ -140,8 +140,9 @@ def test_polymeric_matches_per_edge_reference(g):
             assert sx.polymeric_randic(g, t, params) == reference.polymeric_randic(g, t, params), (t, params)
 
 
-# The breakdown shares one set of terms per degree class; its objects and its
-# JSON must still equal the reference's, which builds and renders every edge.
+# The breakdown holds one row per class (dx, dy, tau); its per-edge expansion,
+# and its JSON expanded back edge by edge, must equal the reference's, which
+# builds and renders every edge.
 BREAKDOWN_LEVELS = (2, 3, 7)
 BREAKDOWN_PARAMS = (-0.5, 2.0, sx.IndexParams(1, exact=True))
 
@@ -157,7 +158,7 @@ def _assert_breakdowns_match(closed, ref, g):
                 assert got.breakdown.parts == want.breakdown.parts, (t, params)
                 assert got.breakdown.copies_mid_edges == want.breakdown.copies_mid_edges, (t, params)
                 assert got.breakdown.copies_top_edges == want.breakdown.copies_top_edges, (t, params)
-            got_json = json.dumps(got.to_json_dict(), indent=2)
+            got_json = json.dumps(reference.expand(got.to_json_dict(), g), indent=2)
             assert got_json == json.dumps(reference.report_json(want), indent=2), (t, params)
 
 
@@ -173,20 +174,25 @@ def test_polymeric_breakdown_matches_per_edge_reference(g):
     _assert_breakdowns_match(sx.polymeric_randic, reference.polymeric_randic, g)
 
 
-def test_breakdown_json_edges_own_their_containers():
-    # every edge of a cycle is in one degree class, so all share one set of terms
-    c5 = sx.cycle_graph(5)
-    cases = ((sx.sierpinski_randic(c5, 3, -0.5, include_breakdown=True), "edge_weights"),
-             (sx.polymeric_randic(c5, 3, sx.IndexParams(1, exact=True), include_breakdown=True), "copies_top_edges"))
-    for report, group in cases:
-        edges = report.to_json_dict()["breakdown"][group]
-        before = copy.deepcopy(edges)
-        first = edges[0]
-        first["terms"][0]["count"] = "mutated"
-        first["terms"][0]["degrees"].append(0)
-        first["terms"].append({})
-        first["edge"].append(0)
-        assert edges[1:] == before[1:]
+def test_breakdown_json_class_rows_own_their_containers():
+    # a path has three classes; the two polymeric groups list the same classes
+    p4 = sx.path_graph(4)
+    cases = ((sx.sierpinski_randic(p4, 3, -0.5, include_breakdown=True), ("classes",)),
+             (sx.polymeric_randic(p4, 3, sx.IndexParams(1, exact=True), include_breakdown=True),
+              ("copies_mid", "copies_top")))
+    for report, groups in cases:
+        breakdown = report.to_json_dict()["breakdown"]
+        before = copy.deepcopy(breakdown)
+        for group in groups:
+            first = breakdown[group][0]
+            first["terms"][0]["count"] = "mutated"
+            first["terms"][0]["degrees"].append(0)
+            first["terms"].append({})
+            first["degrees"].append(0)
+        for group in groups:
+            assert breakdown[group][1:] == before[group][1:]
+        assert breakdown["edge_class"] == before["edge_class"]
+        assert report.to_json_dict()["breakdown"] == before
 
 
 # One compiled form serves every level: its reports equal fresh per-call ones.
