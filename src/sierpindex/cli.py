@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from contextlib import suppress
 from typing import Callable, NamedTuple
 
 from . import closedform, construct, graphs
@@ -61,17 +62,17 @@ def _budget(args) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get(_ENV_BUDGET)
-    if env:
-        return int(env)
-    return construct.DEFAULT_VERTEX_BUDGET
+    with suppress(ValueError):
+        return int(env) if env else construct.DEFAULT_VERTEX_BUDGET
+    raise ValueError(f"{_ENV_BUDGET} must be an integer, got {env!r}")
 
 
 def _parse_t_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
-    out = list(range(int(lo), int(hi) + 1) if sep else [int(text)])
-    if not out:  # a level below 1 is refused where it is used
-        raise ValueError(f"bad t range {text!r}")
-    return out
+    with suppress(ValueError):  # a level below 1 is refused where it is used
+        if out := list(range(int(lo), int(hi) + 1) if sep else [int(text)]):
+            return out
+    raise ValueError(f"bad t range {text!r}")
 
 
 def _json_text(doc) -> str:

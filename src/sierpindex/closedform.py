@@ -26,6 +26,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -292,32 +293,31 @@ def _copies(n: int, pairs: dict, shift: int) -> tuple[dict, dict]:
     return lead, rep
 
 
-def _weights(p: IndexParams, pairs: set) -> tuple[dict[tuple[int, int], int], int, dict[int, Number]]:
-    """The one weigher: per pair ``(a, b)``, ``fl((a*b)**alpha) * 2**E`` as an
-    exact integer, one rounded power per degree product as the oracle weighs an
-    edge (the exact power in exact mode, with ``E = 0``); also ``E`` and the
-    powers ``k**alpha`` keyed by product ``k``. A power past the double range weighs
+def _weights(p: IndexParams, pairs: set) -> tuple[dict[tuple[int, int], int], int, dict[int, int]]:
+    """The one weigher: per degree product ``k``, ``fl(k**alpha) * 2**E`` as an
+    exact integer, one rounded power per product as the oracle weighs an edge
+    (the exact power in exact mode, with ``E = 0``); returns them per pair
+    ``(a, b)``, ``E``, and per product. A power past the double range weighs
     ``2**(E + 1024)``: every count is a nonnegative integer and every other
     weight nonnegative, so one edge of that pair puts a level's quotient past
     the double range, and a pair with no edges adds nothing."""
-    alpha, powers, scaled = p.int_alpha if p.exact else p.alpha, {}, {}
+    alpha, weights, E = p.int_alpha if p.exact else p.alpha, {}, 0
     for k in {a * b for a, b in pairs}:
         try:
-            powers[k] = k ** alpha
+            weights[k] = k ** alpha
         except OverflowError:
-            powers[k] = math.inf
-    if p.exact:
-        return {(a, b): powers[a * b] for a, b in pairs}, 0, powers
-    # w * 2**E is an integer for every power w: its last bit is at least 2**(e - 53)
-    # for frexp exponent e, and never below 2**-1074
-    E = min(1074, max(0, 53 - math.frexp(min(filter(None, powers.values()), default=1.0))[1]))
-    for k, w in powers.items():
-        try:
-            scaled[k] = int(math.ldexp(w, E))
-        except OverflowError:  # w * 2**E is past the double range, or w is
-            num, den = w.as_integer_ratio() if w < math.inf else (1 << 1024, 1)  # den is a power of two
-            scaled[k] = num << (E + 1 - den.bit_length())
-    return {(a, b): scaled[a * b] for a, b in pairs}, E, powers
+            weights[k] = math.inf
+    if not p.exact:
+        # w * 2**E is an integer for every power w: its last bit is at least 2**(e - 53)
+        # for frexp exponent e, and never below 2**-1074
+        E = min(1074, max(0, 53 - math.frexp(min(filter(None, weights.values()), default=1.0))[1]))
+        for k, w in weights.items():
+            try:
+                weights[k] = int(math.ldexp(w, E))
+            except OverflowError:  # w * 2**E is past the double range, or w is
+                num, den = w.as_integer_ratio() if w < math.inf else (1 << 1024, 1)  # den is a power of two
+                weights[k] = num << (E + 1 - den.bit_length())
+    return {(a, b): weights[a * b] for a, b in pairs}, E, weights
 
 
 def _fold(parts: tuple[Part, ...], columns: dict[str, dict], weights: dict) -> list[Triple]:
@@ -389,10 +389,10 @@ class CountTable:
         ``2**(E + 1024)``, so that pair makes a level refuse where it has edges
         and nowhere else."""
         p, u = as_params(params), self.base.n - 1
-        weights, E, powers = _weights(p, set().union(*self.columns.values()))
+        weights, E, by_product = _weights(p, set().union(*self.columns.values()))
         *folded, level1 = _fold((*self.parts, self.level1), self.columns, weights)
         return LevelForm(self.variant, self.base, p, tuple(folded), tuple(map(sum, zip(*folded))), level1[2],
-                         u * u << E, self.tau, powers)
+                         u * u << E, self.tau, by_product)
 
 
 def count_table(base: Graph, variant: str) -> CountTable:
@@ -460,7 +460,7 @@ class LevelForm:
     A weight past the double range is ``2**(E + 1024)`` in every numerator,
     so a level where its pair has edges raises in that one division.
     ``level1`` is the level-1 numerator over ``den``, of either variant.
-    ``tau`` and ``powers`` (keyed by degree product) serve breakdowns."""
+    ``tau`` and ``weights`` (per degree product, over ``2**E``) serve breakdowns."""
 
     variant: str
     base: Graph
@@ -470,7 +470,7 @@ class LevelForm:
     level1: int
     den: int
     tau: np.ndarray
-    powers: dict[int, Number]
+    weights: dict[int, int]
 
     def at(self, t: int, include_breakdown: bool = False) -> IndexReport:
         """The index at level ``t``: one ``n**(t-2)``, a few big-integer products
@@ -494,9 +494,9 @@ class LevelForm:
         classes = [(*divmod(pairs[i // k], d), i % k, size) for i, size in zip(keys.tolist(), sizes.tolist())]
         if self.variant == "S":
             return _report("S", t, p, total, SierpinskiBreakdown(
-                self._class_terms(classes, lead, psi2, 0), edge_class, self.base))
+                self._class_terms(t, classes, lead, psi2, 0), edge_class, self.base))
         mid_copy = (psi2 - (t - 2)) // (n - 1)  # sum of repunit(n, i-2) over levels i = 2..t-1
-        mid, top = self._class_terms(classes, psi2, mid_copy, 2), self._class_terms(classes, lead, psi2, 1)
+        mid, top = self._class_terms(t, classes, psi2, mid_copy, 2), self._class_terms(t, classes, lead, psi2, 1)
         return _report("P", t, p, total, PolymericBreakdown(PolymericParts(*parts), mid, top, edge_class, self.base))
 
     def _past_double_range(self, t: int) -> bool:
@@ -507,17 +507,18 @@ class LevelForm:
         rest = max(b.bit_length() + t.bit_length(), c.bit_length()) + 1  # |b*t + c| < 2**rest
         return a > 0 and low > rest and low - 1 - self.den.bit_length() >= 1024
 
-    def _class_terms(self, classes: list, lead: int, rep: int, shift: int) -> tuple[EdgeClass, ...]:
-        """Per class, the four degree-class terms of one copy group at ``base
-        degree + shift``; a term with no edges is zero, whatever its weight."""
-        n, pw, exact = self.base.n, self.powers, self.params.exact
-        add, rows = sum if exact else math.fsum, []
+    def _class_terms(self, t: int, classes: list, lead: int, rep: int, shift: int) -> tuple[EdgeClass, ...]:
+        """Per class, the four terms of one copy group at ``base degree + shift`` and
+        their sum, the class weight: each its exact numerator over ``2**E``, divided once by :func:`_ratio`."""
+        n, w, p, rows = self.base.n, self.weights, self.params, []
+        unit = self.den // (n - 1) ** 2  # 2**E
         for dx, dy, tau, size in classes:
             counters = _counters(n, dx, dy, tau, lead, rep)
             a, b = dx + shift, dy + shift
             degrees = ((a, b), (a, b + 1), (a + 1, b), (a + 1, b + 1))
-            values = [c * pw[x * y] if c or exact else 0.0 for c, (x, y) in zip(counters, degrees)]
-            rows.append(EdgeClass((dx, dy), tau, size, tuple(map(EdgeTerm, counters, degrees, values)), add(values)))
+            nums = [c * w[x * y] for c, (x, y) in zip(counters, degrees)]
+            *values, weight = (_ratio(v, unit, p, self.variant, t) for v in (*nums, sum(nums)))
+            rows.append(EdgeClass((dx, dy), tau, size, tuple(map(EdgeTerm, counters, degrees, values)), weight))
         return tuple(rows)
 
 
@@ -588,25 +589,22 @@ def sierpinski_randic_bounds(base: Graph, t: int, alpha: float) -> tuple[float, 
     n, m_edges = base.n, base.m  # m = M1 / 2
     lead, rep = n ** (t - 2), repunit(n, t - 2)
 
-    def envelope(d_in: int, d_out: int, e: float) -> float:
-        return (
+    def envelope(d_in: int, d_out: int, e: Fraction) -> float:
+        return float(
             lead * (n - 2 * d_out) * r_base
             + (lead * d_in - d_out * rep) * (2 * r_base + e * m_next)
             + (lead + (2 * d_in + 1) * rep) * (r_base + e * m_next + m_edges * e * e)
         )
 
-    try:  # OverflowError: a power, a level count or a bound too large for a float
-        r_base, m_next = randic_index(base, alpha), degree_power_sum(base, alpha + 1)
+    try:  # exact on the float inputs, each bound rounded once; OverflowError: past a float
+        r_base, m_next = Fraction(randic_index(base, alpha)), Fraction(degree_power_sum(base, alpha + 1))
+        at_min, at_max, past_min, past_max = (Fraction(d ** alpha) for d in (dmin, dmax, dmin + 1, dmax + 1))
         # Envelope of the per-vertex increment h(d) = (d+1)**a - d**a over
         # d in [dmin, dmax]; the two cross terms swap roles when alpha < 0.
-        cross = ((dmin + 1) ** alpha - dmax ** alpha, (dmax + 1) ** alpha - dmin ** alpha)
+        cross = (past_min - at_max, past_max - at_min)
         e_lo, e_hi = min(cross), max(cross)
-        if min(dmin ** alpha, dmax ** alpha) + e_lo < 0:
+        if min(at_min, at_max) + e_lo < 0:
             raise ValueError("degree spread too large for a valid envelope at this alpha")
-        bounds = envelope(dmin, dmax, e_lo), envelope(dmax, dmin, e_hi)
-        if all(map(math.isfinite, bounds)):
-            return bounds
+        return envelope(dmin, dmax, e_lo), envelope(dmax, dmin, e_hi)
     except OverflowError:
-        pass
-    raise OverflowError(f"float S bounds at t={t}, alpha={alpha:g} exceed the double range")
-
+        raise OverflowError(f"float S bounds at t={t}, alpha={alpha:g} exceed the double range") from None

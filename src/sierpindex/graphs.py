@@ -10,6 +10,7 @@ across threads.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from contextlib import suppress
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ class Graph:
     __slots__ = ("n", "m", "_edges", "_indptr", "_indices")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
+        self.n = n = operator.index(n)
         if n < 2:
             raise GraphError(f"need at least 2 vertices, got n={n}")
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
@@ -65,7 +67,6 @@ class Graph:
 
         for arr in (canon, indices, indptr):
             arr.flags.writeable = False
-        self.n = int(n)
         self.m = int(canon.shape[0])
         self._edges = canon
         self._indptr = indptr

@@ -5,7 +5,8 @@ counters and four :class:`EdgeTerm` objects, every hub edge of the polymeric
 expansion is counted per base vertex, and the index is summed in exact
 ``Fraction`` arithmetic over those copies: in float mode each copy weighs
 ``fl((a*b)**alpha)`` for its end degrees ``a`` and ``b``, as ``randic_index``
-weighs an edge, and the exact sum is rounded once at the end. Level 1 of the
+weighs an edge, and the exact sum is rounded once at the end; so is each
+breakdown term and edge weight, from its own exact value. Level 1 of the
 polymeric expansion keeps its own vertex-by-vertex loop. Counters, powers and
 the integrality check are this module's own copies, and :func:`report_json`
 renders a report edge by edge, term by term, so the reference calls none of
@@ -226,11 +227,10 @@ def _edge_weight(x, y, dx, dy, counters, shift, p):
     exact = 0
     for (i, j), count in zip(((0, 0), (0, 1), (1, 0), (1, 1)), counters):
         a, b = dx + shift + i, dy + shift + j
-        value = count * _power(a * b, p)
-        terms.append(EdgeTerm(count, (a, b), value))
-        exact += count * _weight(a, b, p)
-    weight = sum(t.value for t in terms) if p.exact else math.fsum(t.value for t in terms)
-    return EdgeWeight(x, y, tuple(terms), weight), exact
+        value = count * _weight(a, b, p)
+        terms.append(EdgeTerm(count, (a, b), _rounded(value, p)))
+        exact += value
+    return EdgeWeight(x, y, tuple(terms), _rounded(exact, p)), exact
 
 
 def sierpinski_randic(base, t, params, include_breakdown=False):

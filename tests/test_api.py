@@ -35,7 +35,7 @@ PUBLIC_FIELDS = {
     "EdgeClassCounts": ("x", "y", "c00", "c01", "c10", "c11"),
     "IndexParams": ("alpha", "exact"),
     "IndexReport": ("variant", "t", "alpha", "value", "exact", "breakdown", "source"),
-    "LevelForm": ("variant", "base", "params", "parts", "total", "level1", "den", "tau", "powers"),
+    "LevelForm": ("variant", "base", "params", "parts", "total", "level1", "den", "tau", "weights"),
     "PolymericBreakdown": ("parts", "copies_mid", "copies_top", "edge_class", "base"),
     "PolymericLayout": ("n", "t"),
     "PolymericParts": ("hub_root", "first_copy", "hub_mid", "copies_mid", "level_links", "hub_top", "copies_top"),

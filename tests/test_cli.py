@@ -91,6 +91,12 @@ def test_expand_budget_env_override(capsys, k3_file, monkeypatch):
     assert rc == 0 and out.startswith("p 9 12\n")
 
 
+def test_a_non_integer_budget_variable_is_refused_by_name(capsys, k3_file, monkeypatch):
+    monkeypatch.setenv("SIERPINDEX_VERTEX_BUDGET", "abc")
+    rc, out, err = run(capsys, "expand", k3_file, "--variant", "S", "--t", "2")
+    assert (rc, out, err) == (2, "", "error: SIERPINDEX_VERTEX_BUDGET must be an integer, got 'abc'\n")
+
+
 def test_expand_labels_sidecar(capsys, k2_file, tmp_path):
     labels = tmp_path / "labels.tsv"
     rc, _, _ = run(capsys, "expand", k2_file, "--variant", "S", "--t", "2",
@@ -128,6 +134,15 @@ def test_closed_breakdown(capsys, k3_file):
     assert list(parts) == ["hub_root", "first_copy", "hub_mid", "copies_mid",
                            "level_links", "hub_top", "copies_top"]
     assert parts["hub_mid"] == 0 and parts["copies_mid"] == 0
+
+
+@pytest.mark.parametrize("variant", ["S", "P"])
+def test_closed_breakdown_answers_where_the_value_does(capsys, k2_file, variant):
+    # some counts at t=1100 are past the double range, the value is not
+    argv = ["closed", k2_file, "--variant", variant, "--t", "1100", "--alpha", "-100"]
+    rc, out, err = run(capsys, *argv, "--breakdown")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["value"] == json.loads(run(capsys, *argv)[1])["value"]
 
 
 def test_closed_breakdown_is_byte_identical_across_hash_seeds(tmp_path):
@@ -296,6 +311,13 @@ def test_verify_refuses_a_negative_or_non_finite_tolerance(capsys, k3_file, tol)
 def test_levels_below_one_are_refused_with_the_library_message(capsys, k3_file, argv):
     rc, out, err = run(capsys, argv[0], k3_file, *argv[1:])
     assert (rc, out, err) == (2, "", "error: t must be >= 1\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("text", ["2..", "..3", "x", "3..2"])
+def test_a_bad_level_range_is_refused_by_name(capsys, k3_file, command, text):
+    rc, out, err = run(capsys, command, k3_file, "--t", text)
+    assert (rc, out, err) == (2, "", f"error: bad t range {text!r}\n")
 
 
 def test_verify_accepts_a_zero_tolerance(capsys, k3_file):

@@ -360,6 +360,31 @@ def test_float_overflow_is_refused_not_returned(closed, t, alpha):
     assert closed(k5, t, sx.IndexParams(int(alpha), exact=True)).exact > 10 ** 308
 
 
+@pytest.mark.parametrize("closed, ref", [(sx.sierpinski_randic, reference.sierpinski_randic),
+                                         (sx.polymeric_randic, reference.polymeric_randic)])
+def test_a_breakdown_answers_wherever_the_value_does(closed, ref):
+    # a count past the double range whose term is not: each term and class
+    # weight is its exact value rounded once, as the value is
+    k2 = sx.complete_graph(2)
+    got = closed(k2, 1100, -100.0, include_breakdown=True)
+    assert got.value == closed(k2, 1100, -100.0).value
+    classes = got.breakdown.classes if got.variant == "S" else got.breakdown.copies_top
+    assert max(u.count for c in classes for u in c.terms) > 2 ** 1024
+    want = ref(k2, 1100, -100.0, include_breakdown=True)
+    assert json.dumps(reference.expand(got.to_json_dict(), k2)) == json.dumps(reference.report_json(want))
+
+
+def test_bounds_of_a_regular_base_answer_where_its_value_does():
+    # the level counts are past the double range, the bounds are not
+    c6 = sx.cycle_graph(6)
+    value = sx.sierpinski_randic(c6, 400, -100.0).value
+    assert sx.sierpinski_randic_bounds(c6, 400, -100.0) == (value, value)
+    # evaluated in floats, both bounds of these cancel to 0.0
+    for g in (sx.complete_graph(2), sx.cycle_graph(4)):
+        value = sx.sierpinski_randic(g, 2, -100.0).value
+        assert all(math.isclose(b, value, rel_tol=1e-9) for b in sx.sierpinski_randic_bounds(g, 2, -100.0))
+
+
 @pytest.mark.parametrize("t, alpha", [(394, 2.0), (2, 323.0), (3000, 2.0)])
 def test_bounds_past_the_double_range_are_refused_not_returned(t, alpha):
     # (394, 2): the level counts times the base sums reach inf; (2, 323): the
@@ -428,6 +453,15 @@ def test_polymeric_exact_mode(corpus):
             rep = sx.polymeric_randic(g, t, sx.IndexParams(1, exact=True))
             built = sx.polymeric_graph(g, t)
             assert rep.exact == sx.randic_index(built, sx.IndexParams(1, exact=True))
+
+
+def test_exact_polymeric_parts_total_is_the_exact_value():
+    exact = sx.IndexParams(2, exact=True)
+    rep = sx.polymeric_randic(sx.demo_graph(), 3, exact, include_breakdown=True)
+    assert type(rep.breakdown.parts.total) is int and rep.breakdown.parts.total == rep.exact
+    # past the double range the exact parts still add up to the exact value
+    deep = sx.polymeric_complete(4, 600, exact).total
+    assert deep > 10 ** 308 and deep == sx.polymeric_randic(sx.complete_graph(4), 600, exact).exact
 
 
 # -- scaling behavior ----------------------------------------------------------------

@@ -108,6 +108,7 @@ def test_levels_below_the_least_raise_value_error(name):
 
 #: calls whose integer arguments are sizes that feed a power
 SIZES = [
+    (sx.Graph, (3, [(1, 2), (2, 3)])),
     (sx.repunit, (7, 30)),
     (sx.polymeric_layout, (7, 30)),
     (sx.polymeric_layout(7, 30).hub_ids, (30,)),
@@ -139,3 +140,9 @@ def test_numpy_sizes_give_python_results(fn, args):
             swapped[i] = float(arg)
             with pytest.raises(TypeError):
                 fn(*swapped)
+
+
+def test_a_fractional_vertex_count_is_refused_as_python_refuses_it():
+    # Python's own message, not numpy's about the edge-key offset ("got '5.7'")
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        sx.Graph(3.7, [(1, 2), (2, 3)])
