@@ -27,6 +27,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -38,7 +39,6 @@ from .graphs import (
     as_params,
     degree_power_sum,
     edge_triangles,
-    is_connected,
     randic_index,
     triangle_count,
     triangles_on_edge,
@@ -293,16 +293,16 @@ def _copies(n: int, pairs: dict, shift: int) -> tuple[dict, dict]:
     return lead, rep
 
 
-def _weights(p: IndexParams, pairs: set) -> tuple[dict[tuple[int, int], int], int, dict[int, int]]:
+def _weights(p: IndexParams, products: set[int]) -> tuple[int, dict[int, int]]:
     """The one weigher: per degree product ``k``, ``fl(k**alpha) * 2**E`` as an
     exact integer, one rounded power per product as the oracle weighs an edge
-    (the exact power in exact mode, with ``E = 0``); returns them per pair
-    ``(a, b)``, ``E``, and per product. A power past the double range weighs
-    ``2**(E + 1024)``: every count is a nonnegative integer and every other
-    weight nonnegative, so one edge of that pair puts a level's quotient past
-    the double range, and a pair with no edges adds nothing."""
+    (the exact power in exact mode, with ``E = 0``); returns ``E`` and them.
+    A power past the double range weighs ``2**(E + 1024)``: every count is a
+    nonnegative integer and every other weight nonnegative, so one edge of that
+    pair puts a level's quotient past the double range, and a pair with no
+    edges adds nothing."""
     alpha, weights, E = p.int_alpha if p.exact else p.alpha, {}, 0
-    for k in {a * b for a, b in pairs}:
+    for k in products:
         try:
             weights[k] = k ** alpha
         except OverflowError:
@@ -317,17 +317,14 @@ def _weights(p: IndexParams, pairs: set) -> tuple[dict[tuple[int, int], int], in
             except OverflowError:  # w * 2**E is past the double range, or w is
                 num, den = w.as_integer_ratio() if w < math.inf else (1 << 1024, 1)  # den is a power of two
                 weights[k] = num << (E + 1 - den.bit_length())
-    return {(a, b): weights[a * b] for a, b in pairs}, E, weights
+    return E, weights
 
 
 def _fold(parts: tuple[Part, ...], columns: dict[str, dict], weights: dict) -> list[Triple]:
-    """Each part summed into one triple, every coefficient times its pair's weight."""
-    sums = {}
-    for name, col in columns.items():
-        s = 0
-        for pair, k in col.items():
-            s += k * weights[pair]
-        sums[name] = s
+    """Each part summed into one triple, every coefficient times the weight of
+    its pair's degree product."""
+    sums = {name: sum(map(operator.mul, col.values(), map(weights.__getitem__, starmap(operator.mul, col))))
+            for name, col in columns.items()}
     folded = []
     for part in parts:
         a = b = c = 0
@@ -359,9 +356,9 @@ def _weigh_terms(what: str, t: int, alpha: float, *tables) -> Number | Polymeric
     one table gives its value, seven give the :class:`PolymericParts`. Past the
     double range it raises, naming ``what`` (and the part), ``t`` and alpha."""
     p = as_params(alpha)
-    weights, E, _ = _weights(p, {(a, b) for table in tables for _, a, b in table})
+    E, weights = _weights(p, {a * b for table in tables for _, a, b in table})
     names = [what] if len(tables) == 1 else [f"{what} {field}" for field in PolymericParts._fields]
-    values = [_ratio(sum(c * weights[a, b] for c, a, b in table), 1 << E, p, name, t)
+    values = [_ratio(sum(c * weights[a * b] for c, a, b in table), 1 << E, p, name, t)
               for name, table in zip(names, tables)]
     return values[0] if len(tables) == 1 else PolymericParts(*values)
 
@@ -389,22 +386,19 @@ class CountTable:
         ``2**(E + 1024)``, so that pair makes a level refuse where it has edges
         and nowhere else."""
         p, u = as_params(params), self.base.n - 1
-        weights, E, by_product = _weights(p, set().union(*self.columns.values()))
+        E, weights = _weights(p, set().union(*(starmap(operator.mul, col) for col in self.columns.values())))
         *folded, level1 = _fold((*self.parts, self.level1), self.columns, weights)
         return LevelForm(self.variant, self.base, p, tuple(folded), tuple(map(sum, zip(*folded))), level1[2],
-                         u * u << E, self.tau, by_product)
+                         u * u << E, self.tau, weights)
 
 
 def count_table(base: Graph, variant: str) -> CountTable:
     """The alpha-free step of :func:`compile_index` for variant ``"S"`` or
-    ``"P"``: connectivity (``P``), degrees and range-checked edge triangles,
-    once. Nothing is cached."""
+    ``"P"``, of any base: degrees and range-checked edge triangles, once.
+    Nothing is cached."""
     if variant not in ("S", "P"):
         raise ValueError(f"variant must be 'S' or 'P', got {variant!r}")
-    if variant == "P" and not is_connected(base):
-        raise ValueError("polymeric index needs a connected base graph")
-    n, u, deg = base.n, base.n - 1, base.degrees()
-    tau = edge_triangles(base)
+    n, u, deg, tau = base.n, base.n - 1, base.degrees(), edge_triangles(base)
     pairs = _degree_pairs(base, deg, tau)
     edges0 = {pair: size for pair, (size, _) in pairs.items()}
     # numerators over (n-1)**2 of 1, n**(t-2) and repunit(n, t-2)
@@ -571,10 +565,11 @@ def sierpinski_randic_bounds(base: Graph, t: int, alpha: float) -> tuple[float, 
 
     Built by replacing each degree increment ``(d+1)**alpha - d**alpha`` with
     its extreme over the degree range and each degree-class counter with its
-    extreme; both bounds collapse to the exact value precisely when the base
-    is regular. Requires minimum degree >= 1 and a degree spread small enough
-    that the substituted factors stay nonnegative (checked). A bound past the
-    double range raises :class:`OverflowError`.
+    extreme; on exact inputs both bounds equal the exact index precisely when the
+    base is regular. Evaluated exactly on rounded float inputs, a bound can miss
+    that index, and the float value, by their rounding. Requires minimum degree >= 1
+    and a degree spread small enough that the substituted factors stay nonnegative
+    (checked). A bound past the double range raises :class:`OverflowError`.
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _simple_edge_keys, is_connected
+from .graphs import Graph, _simple_edge_keys
 
 #: Hard default cap on explicit construction size (vertices).
 DEFAULT_VERTEX_BUDGET = 10_000_000
@@ -176,7 +176,7 @@ def polymeric_layout(n: int, t: int) -> PolymericLayout:
 
 
 def polymeric_graph(base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
-    """Build the level-``t`` polymeric expansion of a connected base.
+    """Build the level-``t`` polymeric expansion of any base.
 
     Three edge groups per level ``i``: the level-``i`` expansion edges, the
     hub fan-outs (hub ``j`` joined to every vertex of the ``j``-th base copy,
@@ -184,8 +184,6 @@ def polymeric_graph(base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET) ->
     links (word vertex ``j`` of level ``i`` to hub ``j`` of level ``i+1``).
     """
     layout = polymeric_layout(base.n, t)
-    if not is_connected(base):
-        raise ValueError("polymeric expansion needs a connected base graph")
     _check_budget(layout.total_vertices, budget)
 
     n, t = base.n, layout.t
@@ -261,12 +259,16 @@ def _decode_edge_origin(u: np.ndarray, v: np.ndarray, n: int, t: int) -> tuple[n
     letter, or the differing letter itself when the edge sits at the last
     position). Decoding checks the constant-tail structure.
     """
-    power = n ** np.arange(t + 1, dtype=np.int64)
-    # tail length after the first differing letter: the words agree on their
-    # prefixes of length t - j exactly when j > tail
-    tail = (u[:, None] // power != v[:, None] // power).sum(axis=1) - 1
-    if (tail < 0).any():
+    if (u == v).any():
         raise ArithmeticError("self-copy edge found")
+    power = n ** np.arange(t + 1, dtype=np.int64)
+    # tail length after the first differing letter: the words agree on their prefixes
+    # of length t - j exactly when j > tail, so halve [0, t] for the least such tail
+    tail, hi = np.zeros_like(u), np.full_like(u, t)
+    for _ in range(t.bit_length()):
+        mid = (tail + hi) >> 1
+        agree = u // power[mid + 1] == v // power[mid + 1]
+        tail, hi = np.where(agree, tail, mid + 1), np.where(agree, mid, hi)
     a, b = u // power[tail] % n, v // power[tail] % n
     rep = (power[tail] - 1) // (n - 1)
     if (u % power[tail] != b * rep).any():
@@ -277,8 +279,7 @@ def _decode_edge_origin(u: np.ndarray, v: np.ndarray, n: int, t: int) -> tuple[n
 
 
 def _census_block(base: Graph, t: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """The level-``t`` edge block (0-based) and vertex degrees, checked as in :func:`sierpinski_graph`."""
-    t = _int_arg(t, 2)
+    """The edge block (0-based) and vertex degrees at a checked level ``t``, as :func:`sierpinski_graph` checks."""
     total = base.n ** t
     _check_budget(total, budget)
     block = _expansion_edge_block(base, t)
@@ -294,6 +295,7 @@ def census_edge_classes(
     Requires ``t >= 2``. Every expansion endpoint must sit at its base degree
     or one above it; anything else is an internal invariant failure.
     """
+    t = _int_arg(t, 2)
     block, deg = _census_block(base, t, budget)
     u, v = block.T
     x, y = _decode_edge_origin(u, v, base.n, t)
@@ -324,7 +326,7 @@ def census_vertex_classes(
 ) -> list[VertexClassCounts]:
     """Empirical degree-class counts per base vertex over its ``n**(t-1)``
     copies in the expansion's edge block (copies share the final letter)."""
-    _, deg = _census_block(base, t, budget)
+    _, deg = _census_block(base, _int_arg(t, 2), budget)
     last = np.arange(deg.size, dtype=np.int64) % base.n + 1
     inc = deg - base.degrees()[last]
     if not ((inc == 0) | (inc == 1)).all():

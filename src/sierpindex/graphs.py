@@ -132,15 +132,18 @@ def parse_edge_list(text: str) -> Graph:
     ``u != v``, whitespace separated. Errors report the first offending line
     in file order.
     """
-    # A document exactly as render_edge_list writes it (18 digits fit int64) is
-    # converted in one call, and Graph checks range, self-loops and duplicates.
-    # Any other document, or a failed check, goes to the loop below: it alone
-    # takes int()'s ids (+2, 1_0, ...) and comments, and names the bad line.
-    if doc := re.fullmatch(r"p ([0-9]{1,18}) ([0-9]{1,18})\n((?:[0-9]{1,18} [0-9]{1,18}\n)+)", text):
-        uv = np.fromstring(doc[3], dtype=np.int64, sep=" ").reshape(-1, 2)
-        if uv.shape[0] == int(doc[2]):
+    # A document exactly as render_edge_list writes it (after the header, m lines of two
+    # ASCII digit runs of 1 to 18, which fit int64, split by one space) is converted in one
+    # call, and Graph checks range, self-loops and duplicates. Any other document, or a failed
+    # check, goes to the loop below: it alone takes int()'s ids (+2, 1_0, ...) and comments, and names the bad line.
+    if (head := re.match(r"p ([0-9]{1,18}) ([0-9]{1,18})\n", text)) and (m := int(head[2])):
+        body = np.frombuffer(text.encode(), dtype=np.uint8, offset=head.end())  # the header is ASCII
+        sep = np.flatnonzero((body < 48) | (body > 57))  # anything but the digits 0-9
+        run = np.diff(sep, prepend=-1)  # each separator's digit run, plus one
+        if (sep.size == 2 * m and sep[-1] == body.size - 1 and run.min() > 1 and run.max() <= 19
+                and (body[sep].reshape(-1, 2) == (32, 10)).all()):
             with suppress(GraphError):
-                return Graph(int(doc[1]), uv)
+                return Graph(int(head[1]), np.fromstring(text[head.end():], dtype=np.int64, sep=" ").reshape(-1, 2))
     n = m = None
     edges: dict[tuple[int, int], None] = {}  # a set that keeps file order, which Graph converts fastest
     for line_no, line in enumerate(text.splitlines(), 1):
@@ -261,15 +264,25 @@ def triangles_on_edge(g: Graph, u: int, v: int) -> int:
     return int(np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True).size)
 
 
+#: Edge count up to which :func:`edge_triangles` intersects Python sets (the measured crossover)
+_SET_KERNEL_EDGES = 80
+
+
 def edge_triangles(g: Graph) -> np.ndarray:
     """Triangles through every edge, as an int64 array in canonical edge order.
 
-    Each edge is oriented from its lower- to its higher-ranked end (rank:
-    degree, then id). A triangle is then met exactly once, as a wedge of two
-    out-neighbors of its lowest-ranked vertex closed by an edge, and is
-    credited to all three of its edges. The orientation keeps the wedge count
-    within O(m**1.5) even when a hub is adjacent to every other vertex.
+    Up to ``_SET_KERNEL_EDGES`` edges, a set intersection per edge. Above, each
+    edge is oriented from its lower- to its higher-ranked end (rank: degree,
+    then id), so a triangle is met exactly once, as a wedge of two out-neighbors
+    of its lowest-ranked vertex closed by an edge, and is credited to all three
+    of its edges; the wedges number O(m**1.5) even next to a hub on every vertex.
     """
+    if g.m <= _SET_KERNEL_EDGES:
+        edges, nbrs = g._edges.tolist(), [set() for _ in range(g.n + 1)]
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        return np.array([len(nbrs[u] & nbrs[v]) for u, v in edges], dtype=np.int64)
     n1, m, nbr, ids = g.n + 1, g.m, g._indices, np.arange(g.n + 1)
     deg = g.degrees()
     keys = g._edges[:, 0] * n1 + g._edges[:, 1]  # sorted: canonical order

@@ -1,5 +1,7 @@
 from collections import Counter
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 import sierpindex as sx
@@ -27,6 +29,21 @@ def build_corpus() -> dict:
 
 
 CORPUS_NAMES = list(build_corpus())
+
+
+def random_graph(seed: int, n: int, m: int) -> sx.Graph:
+    """A seeded simple graph: ``m`` distinct vertex pairs of ``1..n``."""
+    pool = list(combinations(range(1, n + 1), 2))
+    return sx.Graph(n, [pool[i] for i in np.random.default_rng(seed).choice(len(pool), m, replace=False)])
+
+
+#: seeded bases at the set kernel's edge limit in ``edge_triangles``, one edge
+#: above it (the numpy kernel) and at the size of the larger ``sweep`` base
+KERNEL_BASES = {
+    "at_limit": random_graph(1, 20, sx.graphs._SET_KERNEL_EDGES),
+    "above_limit": random_graph(2, 20, sx.graphs._SET_KERNEL_EDGES + 1),
+    "n400_m2000": random_graph(3, 400, 2000),
+}
 
 #: corpus members with no triangles (the bounds only apply to these)
 TRIANGLE_FREE = ["K2", "C4", "C5", "C6", "P3", "P4", "P5", "K1_3", "K2_3"]

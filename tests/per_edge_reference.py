@@ -268,8 +268,6 @@ def polymeric_randic(base, t, params, include_breakdown=False):
     p = as_params(params)
     if t < 1:
         raise ValueError("t must be >= 1")
-    if not is_connected(base):
-        raise ValueError("polymeric index needs a connected base graph")
     if t == 1:
         return _report("P", t, p, polymeric_level1_randic(base, p), None)
 

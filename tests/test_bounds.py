@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 import sierpindex as sx
@@ -29,6 +32,19 @@ def test_equality_for_regular_bases(corpus, name, t, alpha):
     lo, hi = sx.sierpinski_randic_bounds(g, t, alpha)
     value = sx.sierpinski_randic(g, t, alpha).value
     assert rel_close(lo, value) and rel_close(hi, value)
+
+
+def test_bounds_of_a_regular_base_are_exact_on_their_rounded_inputs():
+    # Both bounds are one float, the envelope evaluated exactly on rounded
+    # inputs: for C6 at t=40, alpha=150 it is one unit in the last place above
+    # the value and above the exact index, and within that unit of the index.
+    c6 = sx.cycle_graph(6)
+    lo, hi = sx.sierpinski_randic_bounds(c6, 40, 150.0)
+    value = sx.sierpinski_randic(c6, 40, 150.0).value
+    exact = sx.sierpinski_randic(c6, 40, sx.IndexParams(150, exact=True)).exact
+    assert lo == hi == 6.099653662433072e+173 == math.nextafter(value, math.inf)
+    assert Fraction(value) < exact < Fraction(lo)
+    assert Fraction(lo) - exact < math.ulp(lo)
 
 
 @pytest.mark.parametrize("name", ["K1_3", "P3", "P4", "P5", "K2_3"])

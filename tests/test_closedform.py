@@ -342,8 +342,6 @@ def test_compile_index_validates_its_arguments():
     k3 = sx.complete_graph(3)
     with pytest.raises(ValueError, match="variant must be 'S' or 'P'"):
         sx.compile_index(k3, -0.5, "Q")
-    with pytest.raises(ValueError, match="connected"):
-        sx.compile_index(sx.Graph(4, [(1, 2), (3, 4)]), -0.5, "P")
     with pytest.raises(ValueError, match="t must be >= 1"):
         sx.compile_index(k3, -0.5, "S").at(0)
 
@@ -441,9 +439,14 @@ def test_polymeric_breakdown_sums():
     assert isinstance(parts, PolymericParts)
 
 
-def test_polymeric_rejects_disconnected_base():
-    with pytest.raises(ValueError):
-        sx.polymeric_randic(sx.Graph(4, [(1, 2), (3, 4)]), 2, -0.5)
+def test_polymeric_accepts_disconnected_base():
+    # two components and an isolated vertex: the closed form is the built expansion's index
+    g = sx.Graph(5, [(1, 2), (3, 4)])
+    for t in (1, 2, 3):
+        built = sx.polymeric_graph(g, t)
+        assert sx.polymeric_randic(g, t, -0.5).value == sx.randic_index(built, -0.5)
+        assert sx.polymeric_randic(g, t, sx.IndexParams(2, exact=True)).exact == sx.randic_index(
+            built, sx.IndexParams(2, exact=True))
 
 
 def test_polymeric_exact_mode(corpus):

@@ -259,9 +259,13 @@ def test_polymeric_hub_degrees(corpus, name):
             assert p.degree(base + k) == s.degree(k) + extra
 
 
-def test_polymeric_rejects_disconnected_base():
-    with pytest.raises(ValueError):
-        sx.polymeric_graph(sx.Graph(4, [(1, 2), (3, 4)]), 2)
+def test_polymeric_accepts_disconnected_base():
+    # two components and an isolated vertex: every word vertex still hangs off its hub
+    g = sx.Graph(5, [(1, 2), (3, 4)])
+    p = sx.polymeric_graph(g, 2)
+    assert p.n == sx.polymeric_layout(5, 2).total_vertices
+    assert p.m == sx.polymeric_layout(5, 2).total_edges(g.m)
+    assert sx.is_connected(p)
 
 
 def test_polymeric_budget_refusal():

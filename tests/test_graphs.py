@@ -3,11 +3,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sierpindex as sx
 from sierpindex.graphs import GraphError, ParseError
 
+import per_edge_reference as reference
 from conftest import CORPUS_NAMES, rel_close
+from test_oracle_reference import outcome
+from test_properties import small_graphs
 
 
 # -- parsing -------------------------------------------------------------------
@@ -48,6 +52,29 @@ def test_parse_errors_carry_line_numbers(text, fragment, line_no):
         sx.parse_edge_list(text)
     assert fragment in str(exc.value)
     assert exc.value.line_no == line_no
+
+
+@st.composite
+def mutated_canonical_texts(draw):
+    """A document as render_edge_list writes it with up to three byte edits:
+    a byte replaced, dropped or added, from digits, both separators and the
+    bytes the bulk path must refuse."""
+    text = sx.render_edge_list(draw(small_graphs()))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        byte = draw(st.sampled_from(list("0123456789 \n") + [" ", "\n", "\t", "\r", "+", "-", "#", "x", "\u0663"]))
+        edit = draw(st.sampled_from(["replace", "drop", "add"]))
+        text = text[:i] + (byte if edit != "drop" else "") + text[i + (edit != "add"):]
+    return text
+
+
+@given(mutated_canonical_texts())
+@settings(max_examples=500, deadline=None)
+def test_bulk_parse_agrees_with_the_line_loop(text):
+    # a trailing blank line changes nothing for the line loop but keeps the bulk
+    # path out, so the two sides compare the bulk path (where it answers) with the loop
+    assert outcome(sx.parse_edge_list, text) == outcome(sx.parse_edge_list, text + "\n\n")
+    assert outcome(sx.parse_edge_list, text) == outcome(reference.parse_edge_list, text)
 
 
 def test_round_trip(corpus):

@@ -9,7 +9,7 @@ import pytest
 
 import sierpindex as sx
 
-from conftest import CORPUS_NAMES
+from conftest import CORPUS_NAMES, KERNEL_BASES
 
 FLOAT_ALPHAS = (-1.0, -0.5, 0.5, 2.0)
 EXACT_ALPHAS = (1, 2)
@@ -38,3 +38,12 @@ def test_oracle_matches_networkx(corpus, name):
         for a in EXACT_ALPHAS:
             assert sx.randic_index(g, sx.IndexParams(a, exact=True)) == sum(d ** a for d in products), (label, a)
         assert sx.is_connected(g) == nx.is_connected(G), label
+
+
+@pytest.mark.parametrize("name", KERNEL_BASES)
+def test_edge_triangles_match_networkx(name):
+    # the bases on both sides of the set kernel's edge limit, and a sweep-sized one
+    g = KERNEL_BASES[name]
+    G = nx.Graph(g.iter_edges())
+    assert sx.edge_triangles(g).tolist() == [sum(1 for _ in nx.common_neighbors(G, u, v)) for u, v in g.iter_edges()]
+    assert sx.triangle_count(g) == sum(nx.triangles(G).values()) // 3

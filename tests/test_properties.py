@@ -4,12 +4,16 @@ import copy
 import json
 import math
 from itertools import combinations
+from unittest.mock import patch
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import sierpindex as sx
 
 import per_edge_reference as reference
+from conftest import KERNEL_BASES
 
 
 @st.composite
@@ -57,6 +61,33 @@ def test_triangle_edge_sum_divisibility(g):
         for u, v in g.iter_edges()
     ]
     assert sx.edge_triangles(g).tolist() == common
+
+
+def both_kernels(g):
+    """``edge_triangles`` of ``g`` by the set kernel and by the numpy kernel."""
+    with patch.object(sx.graphs, "_SET_KERNEL_EDGES", g.m):
+        small = sx.edge_triangles(g)
+    with patch.object(sx.graphs, "_SET_KERNEL_EDGES", g.m - 1):
+        return small, sx.edge_triangles(g)
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_triangle_kernels_agree(g):
+    small, wedge = both_kernels(g)
+    assert small.dtype == wedge.dtype == np.int64
+    assert np.array_equal(small, wedge)
+
+
+@pytest.mark.parametrize("name", KERNEL_BASES)
+def test_edge_triangles_count_common_neighbours_on_kernel_bases(name):
+    g = KERNEL_BASES[name]
+    adj = np.zeros((g.n + 1, g.n + 1), dtype=np.int64)
+    adj[g.edges[:, 0], g.edges[:, 1]] = adj[g.edges[:, 1], g.edges[:, 0]] = 1
+    common = (adj @ adj)[g.edges[:, 0], g.edges[:, 1]]
+    assert common.any()
+    for got in (sx.edge_triangles(g), *both_kernels(g)):
+        assert got.dtype == np.int64 and np.array_equal(got, common)
 
 
 @given(small_graphs(), st.randoms(use_true_random=False))
@@ -115,6 +146,17 @@ def test_polymeric_closed_form_matches_construction(g, t, alpha):
     closed = sx.polymeric_randic(g, t, alpha).value
     oracle = sx.randic_index(built, alpha)
     assert abs(closed - oracle) <= max(1e-9 * abs(oracle), 1e-12)
+
+
+# Any base, isolated vertices and several components included: the polymeric
+# closed form is the index of the built expansion, bit for bit.
+@given(small_graphs(), st.integers(min_value=1, max_value=3),
+       st.sampled_from([-1.0, -0.5, 0.5, 2.0, sx.IndexParams(1, exact=True)]))
+@settings(max_examples=60, deadline=None)
+def test_polymeric_equals_construction_on_any_base(g, t, params):
+    report = sx.polymeric_randic(g, t, params)
+    oracle = sx.randic_index(sx.polymeric_graph(g, t), params)
+    assert (report.exact if report.exact is not None else report.value) == oracle
 
 
 # The class-grouped compile against the edge-by-edge loop it replaced: floats
