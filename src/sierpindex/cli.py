@@ -135,7 +135,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--tol must be finite and >= 0, got {tol:g}")
     budget = _budget(args)
     variants = sorted(set(args.variant or _VARIANTS))
-    alphas = sorted(set(args.alpha or [-1.0, -0.5, 0.5, 1.0, 2.0]))
+    # every alpha is an IndexParams, and so checked, before the first build
+    alphas = [graphs.IndexParams(alpha).alpha for alpha in sorted(set(args.alpha or [-1.0, -0.5, 0.5, 1.0, 2.0]))]
     ts = _parse_t_range(args.t)
 
     cells = []

@@ -27,7 +27,6 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -260,30 +259,30 @@ Triple = tuple[int, int, int]
 Part = tuple[tuple[Triple, str], ...]
 
 
-def _degree_pairs(base: Graph, deg: np.ndarray, tau: np.ndarray) -> dict[tuple[int, int], list[int]]:
-    """``[edges, triangles on them]`` per sorted end-degree pair ``(dx, dy)``;
-    every counter is linear in an edge's triangles ``tau``. Refuses ``tau``
+def _degree_pairs(base: Graph, deg: np.ndarray, tau: np.ndarray) -> tuple[dict, dict]:
+    """The edges, and the triangles on them, per sorted end-degree pair ``(dx, dy)``,
+    counted by ``(dx, dy, tau)`` in C; every counter is linear in ``tau``. Refuses ``tau``
     outside ``[max(0, dx + dy - n), min(dx, dy) - 1]``, the range where all
     four counters are nonnegative at every level ``t >= 2``."""
-    n, pairs = base.n, {}
-    for (dx, dy, k), size in Counter(zip(*deg[base.edges].T.tolist(), tau.tolist())).items():
+    n, sizes, taus = base.n, {}, {}
+    for (dx, dy, k), size in Counter(zip(*deg[base.edges.T].tolist(), tau.tolist())).items():
         if k < 0 or k < dx + dy - n or k >= dx or k >= dy:
             raise ArithmeticError(f"{k} triangles on an edge with end degrees {dx} and {dy} of a base on {n} vertices")
-        acc = pairs.setdefault((dx, dy) if dx <= dy else (dy, dx), [0, 0])
-        acc[0], acc[1] = acc[0] + size, acc[1] + size * k
-    return pairs
+        pair = (dx, dy) if dx <= dy else (dy, dx)
+        sizes[pair], taus[pair] = sizes.get(pair, 0) + size, taus.get(pair, 0) + size * k
+    return sizes, taus
 
 
-def _copies(n: int, pairs: dict, shift: int) -> tuple[dict, dict]:
+def _copies(n: int, sizes: dict, taus: dict, shift: int) -> tuple[dict, dict]:
     """One copy group of the base edges at base degree + ``shift``: the
     :func:`_counters` coefficients of their lead and of their repunit, summed
     per lifted pair."""
     lead, rep = {}, {}
     at_lead, at_rep = lead.get, rep.get
-    for (dx, dy), (size, k) in pairs.items():
+    for ((dx, dy), size), k in zip(sizes.items(), taus.values()):  # both in the order of the pairs
         a, b = dx + shift, dy + shift
-        up, right, both = (a, b + 1), (a + 1, b) if a < b else (a, a + 1), (a + 1, b + 1)
-        lead[a, b] = at_lead((a, b), 0) + size * (n - dx - dy) + k
+        ab, up, right, both = (a, b), (a, b + 1), (a + 1, b) if a < b else (a, a + 1), (a + 1, b + 1)
+        lead[ab] = at_lead(ab, 0) + size * (n - dx - dy) + k
         lead[up] = at_lead(up, 0) + size * dy - k
         lead[right] = at_lead(right, 0) + size * dx - k
         lead[both] = at_lead(both, 0) + size + k
@@ -291,6 +290,10 @@ def _copies(n: int, pairs: dict, shift: int) -> tuple[dict, dict]:
         rep[right] = at_rep(right, 0) - size * dy
         rep[both] = at_rep(both, 0) + size * (dx + dy + 1)
     return lead, rep
+
+
+def _lift(col: dict) -> dict:  # the same edges with both end degrees one higher
+    return {(a + 1, b + 1): k for (a, b), k in col.items()}
 
 
 def _weights(p: IndexParams, products: set[int]) -> tuple[int, dict[int, int]]:
@@ -310,7 +313,8 @@ def _weights(p: IndexParams, products: set[int]) -> tuple[int, dict[int, int]]:
     if not p.exact:
         # w * 2**E is an integer for every power w: its last bit is at least 2**(e - 53)
         # for frexp exponent e, and never below 2**-1074
-        E = min(1074, max(0, 53 - math.frexp(min(filter(None, weights.values()), default=1.0))[1]))
+        low = min(weights.values()) or min(filter(None, weights.values()), default=1.0)  # the least nonzero power
+        E = min(1074, max(0, 53 - math.frexp(low)[1]))
         for k, w in weights.items():
             try:
                 weights[k] = int(math.ldexp(w, E))
@@ -322,9 +326,13 @@ def _weights(p: IndexParams, products: set[int]) -> tuple[int, dict[int, int]]:
 
 def _fold(parts: tuple[Part, ...], columns: dict[str, dict], weights: dict) -> list[Triple]:
     """Each part summed into one triple, every coefficient times the weight of
-    its pair's degree product."""
-    sums = {name: sum(map(operator.mul, col.values(), map(weights.__getitem__, starmap(operator.mul, col))))
-            for name, col in columns.items()}
+    its pair's degree product; plain loops, as a column holds a few pairs."""
+    sums = {}
+    for name, col in columns.items():
+        s = 0
+        for (a, b), c in col.items():
+            s += c * weights[a * b]
+        sums[name] = s
     folded = []
     for part in parts:
         a = b = c = 0
@@ -386,25 +394,25 @@ class CountTable:
         ``2**(E + 1024)``, so that pair makes a level refuse where it has edges
         and nowhere else."""
         p, u = as_params(params), self.base.n - 1
-        E, weights = _weights(p, set().union(*(starmap(operator.mul, col) for col in self.columns.values())))
+        E, weights = _weights(p, {a * b for col in self.columns.values() for a, b in col})
         *folded, level1 = _fold((*self.parts, self.level1), self.columns, weights)
-        return LevelForm(self.variant, self.base, p, tuple(folded), tuple(map(sum, zip(*folded))), level1[2],
-                         u * u << E, self.tau, weights)
+        total = folded[0] if len(folded) == 1 else tuple(map(sum, zip(*folded)))
+        return LevelForm(self.variant, self.base, p, tuple(folded), total, level1[2], u * u << E, self.tau, weights)
 
 
 def count_table(base: Graph, variant: str) -> CountTable:
     """The alpha-free step of :func:`compile_index` for variant ``"S"`` or
-    ``"P"``, of any base: degrees and range-checked edge triangles, once.
-    Nothing is cached."""
+    ``"P"``, of any base: degrees and range-checked edge triangles, once. Per
+    edge only the triangle kernel and one C-level count by class run; what
+    follows loops over degree pairs and degrees. Nothing is cached."""
     if variant not in ("S", "P"):
         raise ValueError(f"variant must be 'S' or 'P', got {variant!r}")
     n, u, deg, tau = base.n, base.n - 1, base.degrees(), edge_triangles(base)
-    pairs = _degree_pairs(base, deg, tau)
-    edges0 = {pair: size for pair, (size, _) in pairs.items()}
+    edges0, taus = _degree_pairs(base, deg, tau)
     # numerators over (n-1)**2 of 1, n**(t-2) and repunit(n, t-2)
     one, lead, psi2 = (0, 0, u * u), (u * u, 0, 0), (u, 0, -u)
     if variant == "S":
-        lead0, rep0 = _copies(n, pairs, 0)
+        lead0, rep0 = _copies(n, edges0, taus, 0)
         return CountTable("S", base, tau, {"lead": lead0, "rep": rep0, "edges0": edges0},
                           (((lead, "lead"), (psi2, "rep")),), ((one, "edges0"),))
     # numerators of n**(t-1), repunit(n, t-1), and the level sums over i = 2..t-1
@@ -414,23 +422,20 @@ def count_table(base: Graph, variant: str) -> CountTable:
     # the hub edges to the base vertices: the root hub's (degree n) at base
     # degree + 1 (level 1) and + 2, the other hubs' (degree n + 1) at + 1 and
     # + 2, and, times the base degree, those at + 3 less those at + 2 (rise)
-    # and those at + 2 less those at + 1 (drop)
+    # and those at + 2 less those at + 1 (drop); as the degrees ascend, the
+    # pair at + 3 is new to rise and the pair at + 2 to drop
     hub, root1, root2, hub1, hub2, rise, drop = n + 1, {}, {}, {}, {}, {}, {}
-    for d, size in Counter(deg[1:].tolist()).items():
-        root1[d + 1, n], root2[(d + 2, n) if d + 2 <= n else (n, hub)] = size, size
-        hub1[d + 1, hub], hub2[d + 2, hub] = size, size
-        up = (d + 3, hub) if d + 3 <= hub else (hub, d + 3)
-        rise[up], rise[d + 2, hub] = rise.get(up, 0) + size * d, rise.get((d + 2, hub), 0) - size * d
-        drop[d + 2, hub], drop[d + 1, hub] = drop.get((d + 2, hub), 0) + size * d, drop.get((d + 1, hub), 0) - size * d
-
-    def lift(col: dict) -> dict:  # the same edges with both end degrees one higher
-        return {(a + 1, b + 1): k for (a, b), k in col.items()}
-
-    (lead1, rep1), edges1 = _copies(n, pairs, 1), lift(edges0)
-
+    for d, size in enumerate(np.bincount(deg[1:]).tolist()):  # the base's vertices by degree
+        if size:
+            lo, mid, hi = (d + 1, hub), (d + 2, hub), (d + 3, hub) if d + 3 <= hub else (hub, d + 3)
+            root1[d + 1, n], root2[(d + 2, n) if d + 2 <= n else (n, hub)], hub1[lo], hub2[mid] = size, size, size, size
+            weighted = size * d  # times the base degree
+            rise[hi], rise[mid] = weighted, rise.get(mid, 0) - weighted
+            drop[mid], drop[lo] = weighted, drop.get(lo, 0) - weighted
+    (lead1, rep1), edges1 = _copies(n, edges0, taus, 1), _lift(edges0)
     columns = {"root1": root1, "root2": root2, "hub1": hub1, "hub2": hub2, "rise": rise, "drop": drop,
-               "lead1": lead1, "rep1": rep1, "lead2": lift(lead1), "rep2": lift(rep1), "edges1": edges1,
-               "edges2": lift(edges1)}
+               "lead1": lead1, "rep1": rep1, "lead2": _lift(lead1), "rep2": _lift(rep1), "edges1": edges1,
+               "edges2": _lift(edges1)}
     parts = (
         ((one, "root2"),),
         ((one, "edges2"),),
@@ -474,11 +479,11 @@ class LevelForm:
             return _report(self.variant, t, p, _ratio(self.level1, self.den, p, self.variant, t), None)
         if not p.exact and self._past_double_range(t):
             raise _overflow(self.variant, t, p.alpha)
-        lead = n ** (t - 2)
-        evaluated = (self.total, *self.parts) if include_breakdown else (self.total,)
-        total, *parts = (_ratio(a * lead + b * t + c, self.den, p, self.variant, t) for a, b, c in evaluated)
+        lead, (a, b, c) = n ** (t - 2), self.total
+        total = _ratio(a * lead + b * t + c, self.den, p, self.variant, t)
         if not include_breakdown:
             return _report(self.variant, t, p, total, None)
+        parts = [_ratio(a * lead + b * t + c, self.den, p, self.variant, t) for a, b, c in self.parts]
         psi2 = (lead - 1) // (n - 1)  # repunit(n, t-2)
         # the edges by sorted class (dx, dy, tau), as int64 keys below n**2 and m**2
         deg, e, d, k = self.base.degrees(), self.base.edges, self.base.n, int(self.tau.max()) + 1
@@ -498,8 +503,8 @@ class LevelForm:
         lengths alone, before ``n**(t-2)`` is computed."""
         a, b, c = self.total
         low = a.bit_length() - 2 + int((t - 2) * math.log2(self.base.n))  # a * n**(t-2) >= 2**low
-        rest = max(b.bit_length() + t.bit_length(), c.bit_length()) + 1  # |b*t + c| < 2**rest
-        return a > 0 and low > rest and low - 1 - self.den.bit_length() >= 1024
+        return (a > 0 and low - 1 - self.den.bit_length() >= 1024  # and |b*t + c| below 2**(low - 1):
+                and low > max(b.bit_length() + t.bit_length(), c.bit_length()) + 1)
 
     def _class_terms(self, t: int, classes: list, lead: int, rep: int, shift: int) -> tuple[EdgeClass, ...]:
         """Per class, the four terms of one copy group at ``base degree + shift`` and

@@ -320,6 +320,21 @@ def test_a_bad_level_range_is_refused_by_name(capsys, k3_file, command, text):
     assert (rc, out, err) == (2, "", f"error: bad t range {text!r}\n")
 
 
+@pytest.mark.parametrize("alpha, message", [("0", "alpha must be nonzero"), ("nan", "alpha must be finite"),
+                                            ("-inf", "alpha must be finite")])
+@pytest.mark.parametrize("t", ["2", "12"])
+def test_verify_refuses_a_bad_alpha_before_any_build(capsys, k4_file, monkeypatch, alpha, message, t):
+    # K4 at t=12 needs 27962025 vertices: the budget used to answer first (exit 3),
+    # and at t=2 the refusal came only after an expansion had been built
+    built = []
+    for variant, spec in cli._VARIANTS.items():
+        monkeypatch.setitem(cli._VARIANTS, variant, spec._replace(
+            build=lambda base, t, budget, build=spec.build: built.append(t) or build(base, t, budget)))
+    rc, out, err = run(capsys, "verify", k4_file, "--t", t, "--alpha", "1", f"--alpha={alpha}")
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert built == []
+
+
 def test_verify_accepts_a_zero_tolerance(capsys, k3_file):
     rc, out, _ = run(capsys, "verify", k3_file, "--variant", "S", "--t", "2", "--alpha", "1", "--tol", "0")
     assert rc == 0 and "1 cells: 1 ok" in out
