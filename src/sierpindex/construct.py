@@ -186,14 +186,19 @@ def polymeric_graph(base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET) ->
     layout = polymeric_layout(base.n, t)
     _check_budget(layout.total_vertices, budget)
 
-    n, t = base.n, layout.t
+    n, t, ends = base.n, layout.t, base.edges - 1
     blocks: list[np.ndarray] = []
+    # the level-i expansion (0-based) and, per row, the letters its two words grow by one level up
+    level = tails = np.empty((0, 2), dtype=np.int64)
     for i in range(1, t + 1):
-        word_base = layout.level_offset(i) + n ** (i - 1)  # ids are word_base + k
-        level_edges = _expansion_edge_block(base, i) + (word_base + 1)
-        k = np.arange(1, n ** i + 1, dtype=np.int64)
+        hubs = n ** (i - 1)  # one per base copy at level i
+        top = (np.arange(0, hubs * n, n, dtype=np.int64)[:, None, None] + ends).reshape(-1, 2)
+        level = np.concatenate((level * n + tails, top))
+        tails = np.concatenate((tails, np.tile(ends[:, ::-1], (hubs, 1))))
+        word_base = layout.level_offset(i) + hubs  # ids are word_base + k
+        k = np.arange(1, hubs * n + 1, dtype=np.int64)
         fan = np.column_stack((layout.level_offset(i) + (k - 1) // n + 1, word_base + k))
-        blocks.extend((level_edges, fan))
+        blocks.extend((level + (word_base + 1), fan))
         if i < t:
             links = np.column_stack((word_base + k, layout.level_offset(i + 1) + k))
             blocks.append(links)
@@ -251,8 +256,8 @@ class VertexClassCounts:
 
 
 def _decode_edge_origin(u: np.ndarray, v: np.ndarray, n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per expansion edge ``(u, v)`` (0-based ids): the base letters ``(x, y)``
-    whose copies the two endpoints are.
+    """Per expansion edge ``(u, v)`` (0-based ids): the 0-based base letters
+    ``(x, y)`` whose copies the two endpoints are.
 
     An expansion edge always reads ``w a b...b`` / ``w b a...a`` for a base
     edge ``{a, b}``; each endpoint is a copy of its own last letter (the tail
@@ -261,30 +266,31 @@ def _decode_edge_origin(u: np.ndarray, v: np.ndarray, n: int, t: int) -> tuple[n
     """
     if (u == v).any():
         raise ArithmeticError("self-copy edge found")
-    power = n ** np.arange(t + 1, dtype=np.int64)
-    # tail length after the first differing letter: the words agree on their prefixes
-    # of length t - j exactly when j > tail, so halve [0, t] for the least such tail
-    tail, hi = np.zeros_like(u), np.full_like(u, t)
-    for _ in range(t.bit_length()):
-        mid = (tail + hi) >> 1
-        agree = u // power[mid + 1] == v // power[mid + 1]
-        tail, hi = np.where(agree, tail, mid + 1), np.where(agree, mid, hi)
-    a, b = u // power[tail] % n, v // power[tail] % n
-    rep = (power[tail] - 1) // (n - 1)
-    if (u % power[tail] != b * rep).any():
+    power = n ** np.minimum(np.arange(1 << t.bit_length()), t)  # n**j, held at n**t past t
+    # tail length after the first differing letter: the most j <= t at which u // n**j and
+    # v // n**j still differ, found one bit at a time from the highest
+    tail = np.zeros_like(u)
+    for bit in reversed(range(t.bit_length())):
+        p = power[tail + (1 << bit)]
+        tail += (u // p != v // p) * (1 << bit)
+    p = power[tail]
+    qu, qv = u // p, v // p
+    a, b, rep = qu - qu // n * n, qv - qv // n * n, (p - 1) // (n - 1)
+    if (u - qu * p != b * rep).any():
         raise ArithmeticError("tail of first endpoint is not constant")
-    if (v % power[tail] != a * rep).any():
+    if (v - qv * p != a * rep).any():
         raise ArithmeticError("tail of second endpoint is not constant")
-    return u % n + 1, v % n + 1
+    return u - u // n * n, v - v // n * n
 
 
 def _census_block(base: Graph, t: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """The edge block (0-based) and vertex degrees at a checked level ``t``, as :func:`sierpinski_graph` checks."""
+    """The edge block (0-based) at a checked level ``t``, as :func:`sierpinski_graph` checks,
+    and each vertex's degree above its base letter's (vertex ``k`` copies letter ``k % n + 1``)."""
     total = base.n ** t
     _check_budget(total, budget)
     block = _expansion_edge_block(base, t)
     _simple_edge_keys(block, total)
-    return block, np.bincount(block.ravel(), minlength=total)
+    return block, np.bincount(block.ravel(), minlength=total) - np.tile(base.degrees()[1:], total // base.n)
 
 
 def census_edge_classes(
@@ -295,27 +301,23 @@ def census_edge_classes(
     Requires ``t >= 2``. Every expansion endpoint must sit at its base degree
     or one above it; anything else is an internal invariant failure.
     """
-    t = _int_arg(t, 2)
-    block, deg = _census_block(base, t, budget)
+    t, n = _int_arg(t, 2), base.n
+    block, inc = _census_block(base, t, budget)
     u, v = block.T
-    x, y = _decode_edge_origin(u, v, base.n, t)
-    # orient every copy along its canonical (min, max) base edge, packed as min*(n+1)+max
-    n1, swap = base.n + 1, x > y
-    pair = np.where(swap, y, x) * n1 + np.where(swap, x, y)
-    base_keys = base.edges[:, 0] * n1 + base.edges[:, 1]
-    decoded = np.unique(pair)
-    unknown = decoded[~np.isin(decoded, base_keys)]
-    if unknown.size:
-        a, b = divmod(int(unknown[0]), n1)
-        raise ArithmeticError(f"decoded pair {{{a},{b}}} is not a base edge")
-    base_deg = base.degrees()
-    inc_x = deg[u] - base_deg[x]
-    inc_y = deg[v] - base_deg[y]
-    if not (((inc_x == 0) | (inc_x == 1)) & ((inc_y == 0) | (inc_y == 1))).all():
+    x, y = _decode_edge_origin(u, v, n, t)
+    inc_x, inc_y = inc[u], inc[v]
+    # copies by ordered letter pair and end increments (checked below); a base edge's copies run either way
+    copies = np.bincount((x * n + y) << 2 | (inc_x << 1 | inc_y) & 3, minlength=n * n << 2).reshape(n, n, 2, 2)
+    lo, hi = (base.edges - 1).T
+    pairs = copies.sum((2, 3))
+    pairs = np.triu(pairs + pairs.T)
+    pairs[lo, hi] = 0
+    if (unknown := np.flatnonzero(pairs)).size:
+        a, b = divmod(int(unknown[0]), n)
+        raise ArithmeticError(f"decoded pair {{{a + 1},{b + 1}}} is not a base edge")
+    if ((inc_x | inc_y) >> 1).any():  # a bit above the lowest, or the sign: not both in {0, 1}
         raise ArithmeticError("endpoint degree outside {d, d+1}")
-
-    code = (pair << 2) | (np.where(swap, inc_y, inc_x) << 1) | np.where(swap, inc_x, inc_y)
-    counts = np.bincount(code, minlength=n1 ** 2 << 2).reshape(-1, 4)[base_keys]
+    counts = (copies[lo, hi] + copies[hi, lo].transpose(0, 2, 1)).reshape(-1, 4)
     if counts.sum() != block.shape[0]:
         raise ArithmeticError("census does not cover every expansion edge")
     return [EdgeClassCounts(a, b, *c) for (a, b), c in zip(base.iter_edges(), counts.tolist())]
@@ -326,10 +328,8 @@ def census_vertex_classes(
 ) -> list[VertexClassCounts]:
     """Empirical degree-class counts per base vertex over its ``n**(t-1)``
     copies in the expansion's edge block (copies share the final letter)."""
-    _, deg = _census_block(base, _int_arg(t, 2), budget)
-    last = np.arange(deg.size, dtype=np.int64) % base.n + 1
-    inc = deg - base.degrees()[last]
-    if not ((inc == 0) | (inc == 1)).all():
+    _, inc = _census_block(base, _int_arg(t, 2), budget)
+    if (inc >> 1).any():
         raise ArithmeticError("copy degree outside {d, d+1}")
-    counts = np.bincount(last * 2 + inc, minlength=(base.n + 1) * 2).reshape(-1, 2)
-    return [VertexClassCounts(x, *c) for x, c in enumerate(counts[1:].tolist(), 1)]
+    bumped = inc.reshape(-1, base.n).sum(0).tolist()  # vertex k copies letter k % n + 1
+    return [VertexClassCounts(x, inc.size // base.n - c1, c1) for x, c1 in enumerate(bumped, 1)]

@@ -1,10 +1,11 @@
 """Immutable simple graphs with a canonical edge order, plus degree-based indices.
 
-Vertices are dense integer ids ``1..n``. Adjacency lives in CSR form (one flat
-sorted neighbor array plus offsets) and the edge list is stored
-lexicographically sorted with ``u < v``, so every sum over edges has a single
-reproducible order. Graphs are immutable after construction and safe to share
-across threads.
+Vertices are dense integer ids ``1..n``. A graph holds its edge list,
+lexicographically sorted with ``u < v`` so every sum over edges has a single
+reproducible order, and its degree table. The adjacency (CSR: one flat sorted
+neighbor array plus offsets) is derived from the edges once, on first use by a
+neighbor query or a search, and is read-only like the rest; graphs are safe to
+share across threads, where a race only builds equal arrays twice.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class Graph:
     index computations. Neighbor arrays are sorted ascending.
     """
 
-    __slots__ = ("n", "m", "_edges", "_indptr", "_indices")
+    __slots__ = ("n", "m", "_edges", "_degrees", "_csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         self.n = n = operator.index(n)
@@ -55,22 +56,31 @@ class Graph:
             raise GraphError(f"vertex id out of range 1..{n}")
 
         key = _simple_edge_keys(e, n)
-        n1 = np.int64(n + 1)
         # sorted (lo, hi) keys are exactly lexicographic edge order
-        lo, hi = np.divmod(key, n1)
-        canon = np.column_stack((lo, hi))
-        # both orientations of every edge as src*(n+1)+dst arcs: one sort gives CSR order
-        arcs = np.sort(np.concatenate((key, hi * n1 + lo)))
-        src, indices = np.divmod(arcs, n1)
-        indptr = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n + 1), out=indptr[1:])
-
-        for arr in (canon, indices, indptr):
-            arr.flags.writeable = False
+        lo = key // (n + 1)
+        canon = np.column_stack((lo, key - lo * (n + 1)))
+        degrees = np.bincount(canon.ravel(), minlength=n + 1)
+        canon.flags.writeable = degrees.flags.writeable = False
         self.m = int(canon.shape[0])
         self._edges = canon
-        self._indptr = indptr
-        self._indices = indices
+        self._degrees = degrees
+        self._csr = None
+
+    _indptr = property(lambda self: self._adjacency()[0])
+    _indices = property(lambda self: self._adjacency()[1])
+
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR offsets and sorted neighbor ids, built on first use; a race builds equal arrays twice."""
+        if self._csr is None:
+            n1, (lo, hi) = self.n + 1, self._edges.T
+            # both orientations of every edge as src*(n+1)+dst arcs: one sort gives CSR order
+            arcs = np.sort(np.concatenate((lo * n1 + hi, hi * n1 + lo)))
+            indices = arcs - arcs // n1 * n1
+            indptr = np.zeros(n1 + 1, dtype=np.int64)
+            np.cumsum(self._degrees, out=indptr[1:])
+            indptr.flags.writeable = indices.flags.writeable = False
+            self._csr = indptr, indices
+        return self._csr
 
     @property
     def edges(self) -> np.ndarray:
@@ -88,14 +98,16 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of ``v`` (read-only view)."""
         self._check_vertex(v)
-        return self._indices[self._indptr[v]:self._indptr[v + 1]]
+        indptr, indices = self._adjacency()
+        return indices[indptr[v]:indptr[v + 1]]
 
     def degree(self, v: int) -> int:
-        return int(self.neighbors(v).size)
+        self._check_vertex(v)
+        return int(self._degrees[v])
 
     def degrees(self) -> np.ndarray:
-        """Degree table indexed by vertex id (entry 0 is unused and zero)."""
-        return self._indptr[1:] - self._indptr[:-1]
+        """Read-only degree table indexed by vertex id (entry 0 is unused and zero)."""
+        return self._degrees
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(v)
@@ -187,7 +199,16 @@ def parse_edge_list(text: str) -> Graph:
 
 def render_edge_list(g: Graph) -> str:
     """Inverse of :func:`parse_edge_list`; canonical order, LF newlines."""
-    return f"p {g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(g._edges.ravel().tolist())
+    # one row of bytes per id: its digits right-aligned over NULs, then a space or a newline;
+    # the ids in the least unsigned type that holds n, the cheapest to divide
+    w, q = len(str(g.n)), g._edges.ravel().astype(np.min_scalar_type(g.n))
+    rows = np.zeros((2 * g.m, w + 1), dtype=np.uint8)
+    rows[0::2, w], rows[1::2, w] = 32, 10
+    for k in range(w - 1, -1, -1):
+        r = q // 10
+        np.add(q - r * 10, 48, out=rows[:, k], where=q > 0, casting="unsafe")
+        q = r
+    return f"p {g.n} {g.m}\n" + str(rows[rows > 0].data, "ascii")
 
 
 # -- named families ----------------------------------------------------------
@@ -261,37 +282,36 @@ def triangles_on_edge(g: Graph, u: int, v: int) -> int:
     """Number of triangles through the edge ``{u, v}`` (= common neighbors)."""
     if not g.has_edge(u, v):
         raise ValueError(f"{{{u},{v}}} is not an edge")
-    return int(np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True).size)
+    return len(set(g.neighbors(u).tolist()).intersection(g.neighbors(v).tolist()))
 
 
 #: Edge count up to which :func:`edge_triangles` runs its Python bitmask kernel (the measured crossover)
-_SET_KERNEL_EDGES = 96
+_BITMASK_KERNEL_EDGES = 96
 
 
 def edge_triangles(g: Graph) -> np.ndarray:
     """Triangles through every edge, as an int64 array in canonical edge order.
 
-    Up to ``_SET_KERNEL_EDGES`` edges, the popcount of the AND of its ends'
-    neighbour bitmasks (Python ints) per edge. Above, each edge is oriented
-    from its lower- to its higher-ranked end (rank: degree, then id), so a
-    triangle is met exactly once, as a wedge of two out-neighbors of its
-    lowest-ranked vertex closed by an edge, and is credited to all three of its
-    edges; the wedges number O(m**1.5) even next to a hub on every vertex.
+    Up to ``_BITMASK_KERNEL_EDGES`` edges, the popcount of the AND of its ends'
+    neighbour bitmasks (Python ints) per edge. Above, each canonical edge is
+    oriented from its lower- to its higher-ranked end (rank: degree, then id;
+    no adjacency is built), so a triangle is met exactly once, as a wedge of
+    two out-neighbors of its lowest-ranked vertex closed by an edge, and is
+    credited to all three of its edges; the wedges number O(m**1.5) even next
+    to a hub on every vertex.
     """
-    if g.m <= _SET_KERNEL_EDGES:
+    if g.m <= _BITMASK_KERNEL_EDGES:
         edges, nbrs = g._edges.tolist(), [0] * (g.n + 1)
         for u, v in edges:
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
         return np.array([(nbrs[u] & nbrs[v]).bit_count() for u, v in edges], dtype=np.int64)
-    n1, m, nbr, ids = g.n + 1, g.m, g._indices, np.arange(g.n + 1)
-    deg = g.degrees()
-    keys = g._edges[:, 0] * n1 + g._edges[:, 1]  # sorted: canonical order
-    rank = deg * n1 + ids
-    src = ids.repeat(deg)
-    up = rank[nbr] > rank[src]
-    src, dst = src[up], nbr[up]  # each edge once, grouped by src, dst ascending
-    eid = keys.searchsorted(np.minimum(src, dst) * n1 + np.maximum(src, dst))
+    n1, m, deg, (lo, hi) = g.n + 1, g.m, g.degrees(), g._edges.T
+    keys = lo * n1 + hi  # sorted: canonical order
+    flip = deg[lo] > deg[hi]
+    src, dst = np.where(flip, hi, lo), np.where(flip, lo, hi)
+    eid = (src * n1 + dst).argsort()  # canonical ids of the arcs grouped by src, dst ascending
+    src, dst = src[eid], dst[eid]
     # slot j of a group ending before slot `end[j]` pairs with each of the
     # `later[j]` slots after it
     slot, end = np.arange(m), src.searchsorted(src, "right")

@@ -37,11 +37,11 @@ def random_graph(seed: int, n: int, m: int) -> sx.Graph:
     return sx.Graph(n, [pool[i] for i in np.random.default_rng(seed).choice(len(pool), m, replace=False)])
 
 
-#: seeded bases at the set kernel's edge limit in ``edge_triangles``, one edge
+#: seeded bases at the bitmask kernel's edge limit in ``edge_triangles``, one edge
 #: above it (the numpy kernel) and at the size of the larger ``sweep`` base
 KERNEL_BASES = {
-    "at_limit": random_graph(1, 20, sx.graphs._SET_KERNEL_EDGES),
-    "above_limit": random_graph(2, 20, sx.graphs._SET_KERNEL_EDGES + 1),
+    "at_limit": random_graph(1, 20, sx.graphs._BITMASK_KERNEL_EDGES),
+    "above_limit": random_graph(2, 20, sx.graphs._BITMASK_KERNEL_EDGES + 1),
     "n400_m2000": random_graph(3, 400, 2000),
 }
 

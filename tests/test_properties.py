@@ -64,10 +64,10 @@ def test_triangle_edge_sum_divisibility(g):
 
 
 def both_kernels(g):
-    """``edge_triangles`` of ``g`` by the set kernel and by the numpy kernel."""
-    with patch.object(sx.graphs, "_SET_KERNEL_EDGES", g.m):
+    """``edge_triangles`` of ``g`` by the bitmask kernel and by the numpy kernel."""
+    with patch.object(sx.graphs, "_BITMASK_KERNEL_EDGES", g.m):
         small = sx.edge_triangles(g)
-    with patch.object(sx.graphs, "_SET_KERNEL_EDGES", g.m - 1):
+    with patch.object(sx.graphs, "_BITMASK_KERNEL_EDGES", g.m - 1):
         return small, sx.edge_triangles(g)
 
 
