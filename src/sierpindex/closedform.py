@@ -169,7 +169,7 @@ class PolymericParts(NamedTuple):
             raise OverflowError("float P parts total exceeds the double range") from None
 
     def as_dict(self) -> dict[str, Number]:
-        return dict(zip(self._fields, self))
+        return self._asdict()
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Explicit expansion of self-similar graphs, plus degree-class censuses.
 
-The level-``t`` expansion of a base graph on ``n`` vertices lives on all
-words of length ``t`` over the base alphabet: one edge per base edge
-``{x, y}``, prefix word ``w`` and level ``i``, joining ``w x y...y`` to
-``w y x...x``. The polymeric variant stacks levels ``1..t`` of those
-expansions and wires each level-``i`` copy of the base to a hub vertex.
+The level-``t`` expansion of a base graph on ``n`` vertices lives on the
+words of length ``t``: per base edge ``{x, y}``, prefix ``w`` and level ``i``,
+an edge ``w x y...y`` ~ ``w y x...x``. So each level is the one below with
+every word one letter longer plus the base under each new prefix, and the
+polymeric variant stacks levels ``1..t``, each copy of the base on a hub.
 
 Everything here builds the graphs outright, so it serves as the brute-force
 ground truth for the closed forms; sizes are gated by a vertex budget.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,13 +41,15 @@ def _check_budget(requested: int, budget: int) -> None:
         raise VertexBudgetError(requested, budget)
 
 
-def _int_arg(value, least: int, name: str = "t") -> int:
+def _int_arg(value, least: int, name: str = "t", most: int | None = None) -> int:
     """``value`` as a Python int, for every level and size that feeds a power:
     numpy integers pass, anything else (a float, a string, None) raises
-    ``TypeError``, and a value below ``least`` raises ``ValueError``."""
+    ``TypeError``, and a value below ``least`` or above ``most`` raises ``ValueError``."""
     value = operator.index(value)
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}")
     return value
 
 
@@ -83,29 +85,31 @@ def id_to_word(vid: int, n: int, t: int) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _expansion_edge_block(base: Graph, t: int) -> np.ndarray:
-    """0-based edge array of the level-``t`` expansion, one row per edge.
+def _expansion_levels(base: Graph, t: int) -> Iterator[np.ndarray]:
+    """0-based edge arrays of the level-``1..t`` expansions, one row per edge.
 
-    Level ``i`` contributes, for every prefix ``p`` in ``0..n**(i-1)-1`` and
-    base edge ``(x, y)``, the pair ``(p*n + x-1, p*n + y-1)`` extended by the
-    constant tails ``y...y`` / ``x...x`` of length ``t - i``.
+    Level ``i`` grows each row of level ``i-1`` by a letter (``y`` and ``x`` for
+    base edge ``{x, y}``) and adds ``(p*n + x-1, p*n + y-1)`` per new prefix ``p``.
+    Each level is a view of one buffer, valid until the next level overwrites it.
     """
-    n = base.n
-    x, y = (base.edges - 1).T[:, :, None]  # one row per base edge, one column per prefix
-    out = np.empty((base.m * repunit(n, t), 2), dtype=np.int64)
-    row = 0
+    n, ends = base.n, base.edges - 1
+    copies = np.empty((repunit(n, t), base.m, 2), dtype=np.int64)
+    top = 0  # copies written: the level below
     for i in range(1, t + 1):
-        tail = t - i
-        shift = n ** tail
-        rep = repunit(n, tail)
-        prefixes = np.arange(n ** (i - 1), dtype=np.int64) * n
-        rows = slice(row, row + base.m * prefixes.size)
-        out[rows, 0] = ((prefixes + x) * shift + y * rep).ravel()
-        out[rows, 1] = ((prefixes + y) * shift + x * rep).ravel()
-        row = rows.stop
-    if row != out.shape[0]:
-        raise ArithmeticError(f"edge block filled {row} of {out.shape[0]} rows")
-    return out
+        copies[:top] *= n  # in place: numpy skips the store back of a view onto itself
+        copies[:top] += ends[:, ::-1]
+        fresh = n ** (i - 1)  # new prefixes
+        np.add(np.arange(0, fresh * n, n, dtype=np.int64)[:, None, None], ends, out=copies[top:top + fresh])
+        top += fresh
+        yield copies[:top].reshape(-1, 2)
+    if top != copies.shape[0]:
+        raise ArithmeticError(f"edge block filled {top} of {copies.shape[0]} copies")
+
+
+def _expansion_edge_block(base: Graph, t: int) -> np.ndarray:
+    """0-based edge array of the level-``t`` expansion: the last of :func:`_expansion_levels`."""
+    *_, block = _expansion_levels(base, t)
+    return block
 
 
 def sierpinski_graph(base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
@@ -152,11 +156,12 @@ class PolymericLayout:
         return (self.n + 1) * repunit(self.n, i - 1)
 
     def hub_id(self, i: int, j: int) -> int:
-        """Hub ``j`` (1-based, ``j <= n**(i-1)``) of level ``i``."""
-        return self.level_offset(i) + j
+        """Hub ``j`` (1-based, ``j <= n**(i-1)``) of level ``i`` in ``1..t``."""
+        i = _int_arg(i, 1, "i", self.t)
+        return self.level_offset(i) + _int_arg(j, 1, "j", self.n ** (i - 1))
 
     def hub_ids(self, i: int) -> range:
-        i = _int_arg(i, 1, "i")
+        i = _int_arg(i, 1, "i", self.t)
         start = self.level_offset(i)
         return range(start + 1, start + self.n ** (i - 1) + 1)
 
@@ -178,30 +183,24 @@ def polymeric_layout(n: int, t: int) -> PolymericLayout:
 def polymeric_graph(base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
     """Build the level-``t`` polymeric expansion of any base.
 
-    Three edge groups per level ``i``: the level-``i`` expansion edges, the
-    hub fan-outs (hub ``j`` joined to every vertex of the ``j``-th base copy,
-    i.e. word vertices ``(j-1)*n+1 .. j*n``), and for ``i < t`` the parent
-    links (word vertex ``j`` of level ``i`` to hub ``j`` of level ``i+1``).
+    Three edge groups per level ``i``: the expansion edges that
+    :func:`_expansion_levels` grows, the hub fan-outs (hub ``j`` to word
+    vertices ``(j-1)*n+1 .. j*n``, the ``j``-th base copy) and, for ``i < t``,
+    the parent links (word vertex ``j`` of level ``i`` to hub ``j`` of level ``i+1``).
     """
     layout = polymeric_layout(base.n, t)
     _check_budget(layout.total_vertices, budget)
 
-    n, t, ends = base.n, layout.t, base.edges - 1
+    n, t = base.n, layout.t
     blocks: list[np.ndarray] = []
-    # the level-i expansion (0-based) and, per row, the letters its two words grow by one level up
-    level = tails = np.empty((0, 2), dtype=np.int64)
-    for i in range(1, t + 1):
+    for i, level in enumerate(_expansion_levels(base, t), 1):
         hubs = n ** (i - 1)  # one per base copy at level i
-        top = (np.arange(0, hubs * n, n, dtype=np.int64)[:, None, None] + ends).reshape(-1, 2)
-        level = np.concatenate((level * n + tails, top))
-        tails = np.concatenate((tails, np.tile(ends[:, ::-1], (hubs, 1))))
         word_base = layout.level_offset(i) + hubs  # ids are word_base + k
         k = np.arange(1, hubs * n + 1, dtype=np.int64)
         fan = np.column_stack((layout.level_offset(i) + (k - 1) // n + 1, word_base + k))
-        blocks.extend((level + (word_base + 1), fan))
-        if i < t:
-            links = np.column_stack((word_base + k, layout.level_offset(i + 1) + k))
-            blocks.append(links)
+        blocks.extend((level + (word_base + 1), fan))  # a copy: the next level overwrites ``level``
+        if i < t:  # parent links
+            blocks.append(np.column_stack((word_base + k, layout.level_offset(i + 1) + k)))
     return Graph(layout.total_vertices, np.concatenate(blocks))
 
 

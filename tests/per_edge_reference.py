@@ -12,10 +12,11 @@ the integrality check are this module's own copies, and :func:`report_json`
 renders a report edge by edge, term by term, so the reference calls none of
 the code it checks.
 
-The oracle and edge-list I/O: a reader that checks one line at a time, a
-writer that formats one edge at a time, ``randic_index`` summed edge by edge,
-the CSR arrays of :class:`Graph` built with ``lexsort``, and the connectivity
-and 2-coloring searches over numpy arrays.
+The oracle and edge-list I/O: the expansion built word by word from its
+definition, a reader that checks one line at a time, a writer that formats
+one edge at a time, ``randic_index`` summed edge by edge, the CSR arrays of
+:class:`Graph` built with ``lexsort``, and the connectivity and 2-coloring
+searches over numpy arrays.
 
 The library must agree with all of it exactly: equal integers in exact mode,
 the same correctly rounded floats otherwise, the same per-edge breakdown, the
@@ -25,12 +26,13 @@ same graphs, bytes and errors.
 import math
 from collections import deque
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from sierpindex.closedform import EdgeTerm, EdgeWeight, IndexReport, PolymericParts
-from sierpindex.construct import repunit
+from sierpindex.construct import repunit, word_to_id
 from sierpindex.graphs import Graph, GraphError, ParseError, as_params, triangles_on_edge
 
 
@@ -62,6 +64,20 @@ def graph_arrays(n, edges):
     indptr = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return canon, indptr, indices
+
+
+def expansion_edges(base, t):
+    """The level-``t`` expansion's edges as sorted ``(u, v)`` pairs, ``u < v``,
+    one per level ``i``, prefix word ``w`` of length ``i - 1`` and base edge
+    ``{x, y}``: ``w x y...y`` joined to ``w y x...x``. Duplicates are kept."""
+    n, edges = base.n, []
+    for i in range(1, t + 1):
+        for w in product(range(1, n + 1), repeat=i - 1):
+            for x, y in base.iter_edges():
+                u = word_to_id((*w, x) + (y,) * (t - i), n)
+                v = word_to_id((*w, y) + (x,) * (t - i), n)
+                edges.append((min(u, v), max(u, v)))
+    return sorted(edges)
 
 
 def parse_edge_list(text):

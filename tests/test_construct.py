@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import networkx as nx
@@ -257,6 +258,28 @@ def test_polymeric_hub_degrees(corpus, name):
         extra = 2 if i < t else 1
         for k in range(1, g.n ** i + 1):
             assert p.degree(base + k) == s.degree(k) + extra
+
+
+def test_hub_ids_are_the_hubs():
+    layout, labels = sx.polymeric_layout(3, 2), sx.polymeric_vertex_labels(sx.complete_graph(3), 2)
+    hubs = [v for v, label in enumerate(labels, 1) if label.startswith("hub/")]
+    assert [v for i in (1, 2) for v in layout.hub_ids(i)] == hubs
+    assert [layout.hub_id(i, j) for i in (1, 2) for j in range(1, 3 ** (i - 1) + 1)] == hubs
+    assert layout.hub_id(np.int64(2), np.int64(3)) == hubs[-1]
+
+
+@pytest.mark.parametrize("method, args, message", [
+    ("hub_id", (1, 2), "j must be <= 1"),  # a word vertex
+    ("hub_id", (2, 4), "j must be <= 3"),
+    ("hub_id", (1, 0), "j must be >= 1"),
+    ("hub_id", (3, 1), "i must be <= 2"),  # past the last vertex
+    ("hub_id", (0, 1), "i must be >= 1"),
+    ("hub_ids", (3,), "i must be <= 2"),
+    ("hub_ids", (0,), "i must be >= 1"),
+])
+def test_hub_ids_refuse_what_is_not_a_hub(method, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        getattr(sx.polymeric_layout(3, 2), method)(*args)
 
 
 def test_polymeric_accepts_disconnected_base():

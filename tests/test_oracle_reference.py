@@ -207,6 +207,34 @@ def test_oracle_matches_reference_on_small_graphs(g):
     assert sx.degree_profile(g).bipartite_semiregular == reference.bipartite_semiregular(g)
 
 
+def word_blocks(g, n, t):
+    """Per level of a polymeric graph, the edges between its word vertices, numbered from 1."""
+    layout = sx.polymeric_layout(n, t)
+    for i in range(1, t + 1):
+        first = layout.level_offset(i) + n ** (i - 1)  # word ids are first + k
+        inside = ((g.edges > first) & (g.edges <= first + n ** i)).all(axis=1)
+        yield (g.edges[inside] - first).tolist()
+
+
+def assert_expansions_match_definition(base, t_s, t_p):
+    want = [[list(e) for e in reference.expansion_edges(base, t)] for t in range(1, max(t_s, t_p) + 1)]
+    for t in range(1, t_s + 1):
+        assert sx.sierpinski_graph(base, t).edges.tolist() == want[t - 1], t
+    # all levels of one polymeric graph: each one outlives the growth of the levels above it
+    assert list(word_blocks(sx.polymeric_graph(base, t_p), base.n, t_p)) == want[:t_p]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_expansions_match_their_definition_on_corpus(corpus, name):
+    assert_expansions_match_definition(corpus[name], 4, 3)
+
+
+@given(small_graphs())
+@settings(max_examples=40, deadline=None)
+def test_expansions_match_their_definition_on_small_graphs(g):
+    assert_expansions_match_definition(g, 3, 3)
+
+
 def arrays_or_error(build, n, edges):
     try:
         return [a.tolist() for a in build(n, edges)]
