@@ -101,16 +101,6 @@ class EdgeTerm:
 
 
 @dataclass(frozen=True)
-class EdgeWeight:
-    """Total contribution of all copies of one base edge."""
-
-    x: int
-    y: int
-    terms: tuple[EdgeTerm, ...]
-    weight: Number
-
-
-@dataclass(frozen=True)
 class EdgeClass:
     """``edges`` canonical base edges with end degrees ``degrees`` and
     ``triangles`` triangles: each adds its four ``terms``, ``weight`` in all."""
@@ -122,24 +112,19 @@ class EdgeClass:
     weight: Number
 
 
-def _per_edge(base: Graph, classes: tuple[EdgeClass, ...], edge_class: tuple[int, ...]) -> tuple[EdgeWeight, ...]:
-    return tuple(EdgeWeight(x, y, classes[i].terms, classes[i].weight)
-                 for (x, y), i in zip(base.iter_edges(), edge_class))
-
-
 @dataclass(frozen=True)
 class SierpinskiBreakdown:
     """The base edges by class ``(dx, dy, tau)``, sorted, and the class of
-    each canonical edge of ``base``."""
+    each canonical edge of the base."""
 
     classes: tuple[EdgeClass, ...]
     edge_class: tuple[int, ...]
-    base: Graph
 
     @property
-    def edge_weights(self) -> tuple[EdgeWeight, ...]:
-        """Per canonical edge, the terms and weight of its class."""
-        return _per_edge(self.base, self.classes, self.edge_class)
+    def edge_weights(self) -> tuple[EdgeClass, ...]:
+        """Per canonical edge, its class, whose ``terms`` and ``weight`` are the
+        edge's. Kept for the benchmark's breakdown check, which counts its rows."""
+        return tuple(map(self.classes.__getitem__, self.edge_class))
 
 
 class PolymericParts(NamedTuple):
@@ -180,20 +165,11 @@ class PolymericBreakdown:
     copies_mid: tuple[EdgeClass, ...]
     copies_top: tuple[EdgeClass, ...]
     edge_class: tuple[int, ...]
-    base: Graph
-
-    @property
-    def copies_mid_edges(self) -> tuple[EdgeWeight, ...]:
-        return _per_edge(self.base, self.copies_mid, self.edge_class)
-
-    @property
-    def copies_top_edges(self) -> tuple[EdgeWeight, ...]:
-        return _per_edge(self.base, self.copies_top, self.edge_class)
 
 
 @dataclass(frozen=True)
 class IndexReport:
-    """A computed index value with provenance and optional term breakdown.
+    """A closed-form index value with an optional term breakdown (none at ``t = 1``).
 
     ``value`` is the float result (None when an exact integer result exceeds
     the double range); ``exact`` is set in exact mode only.
@@ -205,7 +181,6 @@ class IndexReport:
     value: float | None
     exact: int | None
     breakdown: SierpinskiBreakdown | PolymericBreakdown | None
-    source: str  # "closed-form" or "construction"
 
     def to_json_dict(self) -> dict:
         doc: dict = {"variant": self.variant, "t": self.t, "alpha": self.alpha, "value": self.value}
@@ -248,7 +223,7 @@ def _float_or_none(value: Number) -> float | None:
 
 def _report(variant: str, t: int, p: IndexParams, total: Number, breakdown) -> IndexReport:
     exact = total if p.exact else None
-    return IndexReport(variant, t, p.alpha, _float_or_none(total), exact, breakdown, "closed-form")
+    return IndexReport(variant, t, p.alpha, _float_or_none(total), exact, breakdown)
 
 
 # -- the count table and its weigher --------------------------------------------
@@ -493,10 +468,10 @@ class LevelForm:
         classes = [(*divmod(pairs[i // k], d), i % k, size) for i, size in zip(keys.tolist(), sizes.tolist())]
         if self.variant == "S":
             return _report("S", t, p, total, SierpinskiBreakdown(
-                self._class_terms(t, classes, lead, psi2, 0), edge_class, self.base))
+                self._class_terms(t, classes, lead, psi2, 0), edge_class))
         mid_copy = (psi2 - (t - 2)) // (n - 1)  # sum of repunit(n, i-2) over levels i = 2..t-1
         mid, top = self._class_terms(t, classes, psi2, mid_copy, 2), self._class_terms(t, classes, lead, psi2, 1)
-        return _report("P", t, p, total, PolymericBreakdown(PolymericParts(*parts), mid, top, edge_class, self.base))
+        return _report("P", t, p, total, PolymericBreakdown(PolymericParts(*parts), mid, top, edge_class))
 
     def _past_double_range(self, t: int) -> bool:
         """Whether the float total is certainly at least ``2**1024``, from bit
@@ -536,9 +511,9 @@ def sierpinski_randic(
 ) -> IndexReport:
     """Degree-product index of the level-``t`` expansion, in closed form.
 
-    ``t = 1`` is the base graph itself and reduces to the direct edge sum;
-    for ``t >= 2`` each base edge contributes the four degree-class terms of
-    its class ``(dx, dy, tau)``. One :func:`compile_index`, one
+    ``t = 1`` is the base graph itself and reduces to the direct edge sum (no
+    breakdown); for ``t >= 2`` each base edge contributes the four degree-class
+    terms of its class ``(dx, dy, tau)``. One :func:`compile_index`, one
     :meth:`LevelForm.at`.
     """
     t = _int_arg(t, 1)  # refuse a level before the compile

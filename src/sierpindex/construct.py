@@ -153,7 +153,8 @@ class PolymericLayout:
         object.__setattr__(self, "t", _int_arg(self.t, 1))
 
     def level_offset(self, i: int) -> int:
-        return (self.n + 1) * repunit(self.n, i - 1)
+        """Vertices below level ``i`` in ``1..t+1``; ``t + 1`` gives ``total_vertices``."""
+        return (self.n + 1) * repunit(self.n, _int_arg(i, 1, "i", self.t + 1) - 1)
 
     def hub_id(self, i: int, j: int) -> int:
         """Hub ``j`` (1-based, ``j <= n**(i-1)``) of level ``i`` in ``1..t``."""

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sierpindex.closedform import EdgeTerm, EdgeWeight, IndexReport, PolymericParts
+from sierpindex.closedform import EdgeTerm, IndexReport, PolymericParts
 from sierpindex.construct import repunit, word_to_id
 from sierpindex.graphs import Graph, GraphError, ParseError, as_params, triangles_on_edge
 
@@ -182,9 +182,18 @@ def bipartite_semiregular(g):
 
 # -- the closed forms --------------------------------------------------------------
 
+class EdgeWeight(NamedTuple):
+    """Total contribution of all copies of one base edge."""
+
+    x: int
+    y: int
+    terms: tuple
+    weight: int | float
+
+
 class SierpinskiBreakdown(NamedTuple):
     """The breakdown edge by edge, as the library gave it before it grouped
-    the edges by class; the library's ``edge_weights`` expand to this."""
+    the edges by class; :func:`expand` turns the library's JSON into this."""
 
     edge_weights: tuple
 
@@ -217,7 +226,7 @@ def _report(variant, t, p, total, breakdown):
         value = float(total)
     except OverflowError:
         value = None
-    return IndexReport(variant, t, p.alpha, value, total if p.exact else None, breakdown, "closed-form")
+    return IndexReport(variant, t, p.alpha, value, total if p.exact else None, breakdown)
 
 
 def _int_ratio(num, den):

@@ -34,12 +34,12 @@ PUBLIC_FIELDS = {
                       "bipartite_semiregular"),
     "EdgeClassCounts": ("x", "y", "c00", "c01", "c10", "c11"),
     "IndexParams": ("alpha", "exact"),
-    "IndexReport": ("variant", "t", "alpha", "value", "exact", "breakdown", "source"),
+    "IndexReport": ("variant", "t", "alpha", "value", "exact", "breakdown"),
     "LevelForm": ("variant", "base", "params", "parts", "total", "level1", "den", "tau", "weights"),
-    "PolymericBreakdown": ("parts", "copies_mid", "copies_top", "edge_class", "base"),
+    "PolymericBreakdown": ("parts", "copies_mid", "copies_top", "edge_class"),
     "PolymericLayout": ("n", "t"),
     "PolymericParts": ("hub_root", "first_copy", "hub_mid", "copies_mid", "level_links", "hub_top", "copies_top"),
-    "SierpinskiBreakdown": ("classes", "edge_class", "base"),
+    "SierpinskiBreakdown": ("classes", "edge_class"),
     "VertexClassCounts": ("x", "c0", "c1"),
 }
 

@@ -272,7 +272,7 @@ def test_verify_detects_a_perturbed_formula(capsys, k3_file, monkeypatch):
             report = true_at(t, include_breakdown)
             return closedform.IndexReport(
                 report.variant, report.t, report.alpha,
-                report.value * (1 + 1e-6), report.exact, report.breakdown, report.source,
+                report.value * (1 + 1e-6), report.exact, report.breakdown,
             )
 
         form.at = at

@@ -193,12 +193,8 @@ def test_breakdown_matches_per_edge_reference(base):
                                 (sx.polymeric_randic, reference.polymeric_randic)):
                 got = closed(base, t, params, include_breakdown=True)
                 want = ref(base, t, params, include_breakdown=True)
-                if got.variant == "S":
-                    assert got.breakdown.edge_weights == want.breakdown.edge_weights
-                else:
+                if got.variant == "P":
                     assert got.breakdown.parts == want.breakdown.parts
-                    assert got.breakdown.copies_mid_edges == want.breakdown.copies_mid_edges
-                    assert got.breakdown.copies_top_edges == want.breakdown.copies_top_edges
                 got_json = json.dumps(reference.expand(got.to_json_dict(), base), indent=2)
                 assert got_json == json.dumps(reference.report_json(want), indent=2), (got.variant, t, params)
 
@@ -434,8 +430,9 @@ def test_polymeric_breakdown_sums():
     rep = sx.polymeric_randic(g, 3, 0.5, include_breakdown=True)
     parts = rep.breakdown.parts
     assert rel_close(parts.total, rep.value)
-    assert rel_close(math.fsum(w.weight for w in rep.breakdown.copies_top_edges), parts.copies_top)
-    assert rel_close(math.fsum(w.weight for w in rep.breakdown.copies_mid_edges), parts.copies_mid)
+    bd = rep.breakdown
+    assert rel_close(math.fsum(bd.copies_top[i].weight for i in bd.edge_class), parts.copies_top)
+    assert rel_close(math.fsum(bd.copies_mid[i].weight for i in bd.edge_class), parts.copies_mid)
     assert isinstance(parts, PolymericParts)
 
 

@@ -276,10 +276,17 @@ def test_hub_ids_are_the_hubs():
     ("hub_id", (0, 1), "i must be >= 1"),
     ("hub_ids", (3,), "i must be <= 2"),
     ("hub_ids", (0,), "i must be >= 1"),
+    ("level_offset", (4,), "i must be <= 3"),  # past the end of the last level
+    ("level_offset", (0,), "i must be >= 1"),
 ])
 def test_hub_ids_refuse_what_is_not_a_hub(method, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         getattr(sx.polymeric_layout(3, 2), method)(*args)
+
+
+def test_level_offsets_end_at_total_vertices():
+    layout = sx.polymeric_layout(3, 2)
+    assert [layout.level_offset(np.int64(i)) for i in (1, 2, 3)] == [0, 4, layout.total_vertices]
 
 
 def test_polymeric_accepts_disconnected_base():

@@ -1,6 +1,7 @@
 """Every demo script, and the README's Python quick start, runs to completion
-against the source tree."""
+against the source tree, and the README's breakdown example is what the CLI prints."""
 
+import json
 import os
 import re
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from sierpindex import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -31,3 +34,13 @@ def test_demo_runs(demo):
 def test_readme_quick_start_runs():
     (block,) = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
     run_python("-c", block)
+
+
+def test_readme_breakdown_example_is_the_cli_output(tmp_path, monkeypatch, capsys):
+    ((command, shown),) = re.findall(r"^\$ sierpindex (closed .*--breakdown)\n(.*?)^```$",
+                                     (ROOT / "README.md").read_text(), re.S | re.M)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen", "complete", "3", "--out", "k3.txt"]) == 0
+    capsys.readouterr()
+    assert cli.main(command.split()) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(shown)
