@@ -257,11 +257,23 @@ def test_verify_passes_and_reports(capsys, k3_file, tmp_path):
     assert doc["ok"] and doc["failed"] == 0
     assert len(doc["cells"]) == 2 * 3 * 2  # variants x t x alphas
     assert all(c["pass"] for c in doc["cells"])
+    assert all(c.keys() == {"graph", "variant", "t", "alpha", "closed", "oracle", "pass"} for c in doc["cells"])
+    assert "tolerance" not in doc
     keys = [(c["graph"], c["variant"], c["t"], c["alpha"]) for c in doc["cells"]]
     assert keys == sorted(keys)
 
 
-def test_verify_detects_a_perturbed_formula(capsys, k3_file, monkeypatch):
+def test_verify_checks_a_repeated_graph_once(capsys, k4_file):
+    rc, out, _ = run(capsys, "verify", k4_file, k4_file, "--t", "2", "--alpha", "1")
+    assert rc == 0 and "2 cells: 2 ok" in out
+
+
+# a cell passes only when the closed form equals the oracle: a 1e-6 relative skew, a
+# factor 2 on an index of 1.64e-15 (below any absolute floor) and one ulp all fail
+@pytest.mark.parametrize("skew, alpha", [(lambda v: v * (1 + 1e-6), "-0.5"), (lambda v: v * 2, "-20"),
+                                         (lambda v: math.nextafter(v, math.inf), "-0.5")],
+                         ids=["relative-1e-6", "double-a-tiny-index", "one-ulp"])
+def test_verify_detects_a_perturbed_formula(capsys, k3_file, monkeypatch, skew, alpha):
     true_weigh = closedform.CountTable.weigh
 
     def skewed(table, params):
@@ -272,7 +284,7 @@ def test_verify_detects_a_perturbed_formula(capsys, k3_file, monkeypatch):
             report = true_at(t, include_breakdown)
             return closedform.IndexReport(
                 report.variant, report.t, report.alpha,
-                report.value * (1 + 1e-6), report.exact, report.breakdown,
+                skew(report.value), report.exact, report.breakdown,
             )
 
         form.at = at
@@ -280,8 +292,7 @@ def test_verify_detects_a_perturbed_formula(capsys, k3_file, monkeypatch):
 
     # the CLI reaches the closed forms through a weighed count table
     monkeypatch.setattr(closedform.CountTable, "weigh", skewed)
-    rc, out, _ = run(capsys, "verify", k3_file, "--variant", "S", "--t", "2",
-                     "--alpha", "-0.5")
+    rc, out, _ = run(capsys, "verify", k3_file, "--variant", "S", "--t", "2", "--alpha", alpha)
     assert rc == 1
     assert "FAIL" in out
 
@@ -296,14 +307,6 @@ def test_verify_compiles_once_per_graph_variant_and_alpha(capsys, k3_file, monke
     assert rc == 0 and "12 cells: 12 ok" in out
     assert sorted(counted) == ["P", "S"]
     assert sorted(weighed) == [(-0.5, "P"), (-0.5, "S"), (2.0, "P"), (2.0, "S")]
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-0.0001"])
-def test_verify_refuses_a_negative_or_non_finite_tolerance(capsys, k3_file, tol):
-    # nan used to fail every cell (exit 1), a negative one to fall back to the 1e-12 floor
-    rc, out, err = run(capsys, "verify", k3_file, "--t", "2", "--alpha", "-0.5", "--tol", tol)
-    assert (rc, out) == (2, "")
-    assert err.startswith("error: --tol must be finite and >= 0") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [["verify", "--t", "0..2"], ["bench", "--t", "0..2"], ["expand", "--variant", "P", "--t", "0"],
@@ -333,11 +336,6 @@ def test_verify_refuses_a_bad_alpha_before_any_build(capsys, k4_file, monkeypatc
     rc, out, err = run(capsys, "verify", k4_file, "--t", t, "--alpha", "1", f"--alpha={alpha}")
     assert (rc, out, err) == (2, "", f"error: {message}\n")
     assert built == []
-
-
-def test_verify_accepts_a_zero_tolerance(capsys, k3_file):
-    rc, out, _ = run(capsys, "verify", k3_file, "--variant", "S", "--t", "2", "--alpha", "1", "--tol", "0")
-    assert rc == 0 and "1 cells: 1 ok" in out
 
 
 def test_verify_includes_polymeric_level_one(capsys, k3_file):

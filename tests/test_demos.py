@@ -1,9 +1,11 @@
 """Every demo script, and the README's Python quick start, runs to completion
-against the source tree, and the README's breakdown example is what the CLI prints."""
+against the source tree, the README's breakdown example is what the CLI prints,
+and every command of the README's CLI block parses."""
 
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +46,12 @@ def test_readme_breakdown_example_is_the_cli_output(tmp_path, monkeypatch, capsy
     capsys.readouterr()
     assert cli.main(command.split()) == 0
     assert json.loads(capsys.readouterr().out) == json.loads(shown)
+
+
+def test_readme_cli_commands_parse():
+    (block,) = re.findall(r"^## CLI\n\n```\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert commands and all(argv[0] == "sierpindex" for argv in commands)
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # an unknown option or a bad value exits 2
