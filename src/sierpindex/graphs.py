@@ -35,6 +35,11 @@ class ParseError(GraphError):
         self.line_no = line_no
 
 
+#: Most vertices a :class:`Graph` takes: its largest int64 key, an arc
+#: ``n * (n+1) + n``, is ``(n+1)**2 - 1``.
+_MAX_VERTICES = math.isqrt(1 << 63) - 1
+
+
 class Graph:
     """Simple undirected graph on vertices ``1..n`` with at least one edge.
 
@@ -49,13 +54,19 @@ class Graph:
         self.n = n = operator.index(n)
         if n < 2:
             raise GraphError(f"need at least 2 vertices, got n={n}")
-        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if n > _MAX_VERTICES:
+            raise GraphError(f"n={n} is more vertices than int64 edge keys hold (at most {_MAX_VERTICES})")
+        e = edges if isinstance(edges, np.ndarray) else np.asarray(pairs := list(edges))
         if e.ndim != 2 or e.shape[1] != 2 or e.shape[0] == 0:
             raise GraphError("need a nonempty sequence of vertex pairs")
+        if e.dtype.kind not in "iu":
+            # numpy holds a list with an int past int64 as floats or objects: ask each id
+            for v in chain.from_iterable(e.tolist() if e is edges else pairs):
+                operator.index(v)  # a float, a string, ... raises TypeError
         if e.min() < 1 or e.max() > n:
             raise GraphError(f"vertex id out of range 1..{n}")
 
-        key = _simple_edge_keys(e, n)
+        key = _simple_edge_keys(e.astype(np.int64, copy=False), n)
         # sorted (lo, hi) keys are exactly lexicographic edge order
         lo = key // (n + 1)
         canon = np.column_stack((lo, key - lo * (n + 1)))

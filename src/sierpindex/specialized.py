@@ -1,17 +1,16 @@
 """Family-specific closed forms for the expansion indices.
 
 Each function reduces one base family (complete, cycle, star, path, regular,
-bipartite semiregular) to a private table of exact ``(count, a, b)`` terms at
-its level, ``count`` expansion edges with end degrees ``a`` and ``b``, weighed
-by the closed form's weigher as ``count * fl((a*b)**alpha)``: the value equals
-the general evaluator's bit for bit (its exact integer for an exact
-:class:`.graphs.IndexParams`), and one past the double range raises
-:class:`OverflowError`. The tables
-share no code with :func:`.closedform.count_table`, so they check its
-counting; the test suite checks them against it at three levels, which
-settles every level, and against explicit construction.
-:data:`DISPUTED_PRINTS` records the circulating formula variants that fail that
-audit, together with the diverging term.
+bipartite semiregular) to a table of exact ``(count, a, b)`` terms at its
+level, built in its own body: ``count`` expansion edges with end degrees ``a``
+and ``b``, weighed by the closed form's weigher as ``count * fl((a*b)**alpha)``.
+The value equals the general evaluator's bit for bit (its exact integer for an
+exact :class:`.graphs.IndexParams`), and one past the double range raises
+:class:`OverflowError`. The tables share no code with
+:func:`.closedform.count_table`, so they check its counting; the test suite
+checks them against it at three levels, which settles every level, and against
+explicit construction. :data:`DISPUTED_PRINTS` records the circulating formula
+variants that fail that audit, together with the diverging term.
 """
 
 from __future__ import annotations
@@ -51,75 +50,56 @@ def sierpinski_regular(n: int, degree: int, triangles: int, t: int, alpha: float
     :data:`DISPUTED_PRINTS`)."""
     n, d = _check_regular(n, degree)
     triangles, t = _check_triangles(n, d, triangles), _int_arg(t, 2)
-    return _weigh_terms("sierpinski_regular", t, alpha, _sierpinski_regular(n, d, triangles, t))
-
-
-def _sierpinski_regular(n: int, d: int, triangles: int, t: int) -> tuple:
-    return _regular_copies(n, d, triangles, n ** (t - 2), repunit(n, t - 2), 0)
+    return _weigh_terms("sierpinski_regular", t, alpha,
+                        _regular_copies(n, d, triangles, n ** (t - 2), repunit(n, t - 2), 0))
 
 
 def sierpinski_complete(n: int, t: int, alpha: float | IndexParams) -> Number:
     """Complete base on ``n`` vertices, ``n >= 2``."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
-    return _weigh_terms("sierpinski_complete", t, alpha, _sierpinski_complete(n, t))
-
-
-def _sierpinski_complete(n: int, t: int) -> tuple:
-    return (n * (n - 1), n - 1, n), (_int_ratio(n ** (t + 1) - 2 * n * n + n, 2), n, n)
+    return _weigh_terms("sierpinski_complete", t, alpha,
+                        ((n * (n - 1), n - 1, n), (_int_ratio(n ** (t + 1) - 2 * n * n + n, 2), n, n)))
 
 
 def sierpinski_cycle(n: int, t: int, alpha: float | IndexParams) -> Number:
     """Cycle base, ``n >= 4`` (the 3-cycle is the complete graph on 3)."""
     n, t = _int_arg(n, 4, "n"), _int_arg(t, 2)
-    return _weigh_terms("sierpinski_cycle", t, alpha, _sierpinski_cycle(n, t))
-
-
-def _sierpinski_cycle(n: int, t: int) -> tuple:
     lead, psi2 = n ** (t - 2), repunit(n, t - 2)
-    return (n * (n - 4) * lead, 2, 2), (4 * n * (lead - psi2), 2, 3), (n * (lead + 5 * psi2), 3, 3)
+    return _weigh_terms("sierpinski_cycle", t, alpha,
+                        ((n * (n - 4) * lead, 2, 2), (4 * n * (lead - psi2), 2, 3), (n * (lead + 5 * psi2), 3, 3)))
 
 
 def sierpinski_semiregular(n1: int, n2: int, d1: int, d2: int, t: int, alpha: float | IndexParams) -> Number:
     """Bipartite base with uniform part degrees ``d1`` / ``d2``."""
     (n1, n2, d1, d2), t = _check_semiregular(n1, n2, d1, d2), _int_arg(t, 2)
-    return _weigh_terms("sierpinski_semiregular", t, alpha, _sierpinski_semiregular(n1, n2, d1, d2, t))
-
-
-def _sierpinski_semiregular(n1: int, n2: int, d1: int, d2: int, t: int) -> tuple:
     n, m = n1 + n2, n1 * d1
     lead, psi2 = n ** (t - 2), repunit(n, t - 2)
-    return ((m * (n - d1 - d2) * lead, d1, d2), (m * (d2 * lead - d1 * psi2), d1, d2 + 1),
-            (m * (d1 * lead - d2 * psi2), d1 + 1, d2), (m * (lead + (d1 + d2 + 1) * psi2), d1 + 1, d2 + 1))
+    return _weigh_terms("sierpinski_semiregular", t, alpha, (
+        (m * (n - d1 - d2) * lead, d1, d2), (m * (d2 * lead - d1 * psi2), d1, d2 + 1),
+        (m * (d1 * lead - d2 * psi2), d1 + 1, d2), (m * (lead + (d1 + d2 + 1) * psi2), d1 + 1, d2 + 1)))
 
 
 def sierpinski_star(r: int, t: int, alpha: float | IndexParams) -> Number:
     """Star base with ``r >= 2`` leaves."""
     r, t = _int_arg(r, 2, "r"), _int_arg(t, 2)
-    return _weigh_terms("sierpinski_star", t, alpha, _sierpinski_star(r, t))
-
-
-def _sierpinski_star(r: int, t: int) -> tuple:
     top = (r + 1) ** (t - 1)
-    return ((r - 1) * top + 1, 1, r + 1), (r, 2, r), (2 * top - r - 2, 2, r + 1)
+    return _weigh_terms("sierpinski_star", t, alpha,
+                        (((r - 1) * top + 1, 1, r + 1), (r, 2, r), (2 * top - r - 2, 2, r + 1)))
 
 
 def sierpinski_path(n: int, t: int, alpha: float | IndexParams) -> Number:
     """Path base on ``n >= 2`` vertices (two-term form for ``n = 2``)."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
-    return _weigh_terms("sierpinski_path", t, alpha, _sierpinski_path(n, t))
-
-
-def _sierpinski_path(n: int, t: int) -> tuple:
     if n == 2:
-        return (2, 1, 2), (2 ** t - 3, 2, 2)
+        return _weigh_terms("sierpinski_path", t, alpha, ((2, 1, 2), (2 ** t - 3, 2, 2)))
     lead, psi2 = n ** (t - 2), repunit(n, t - 2)
-    return (
+    return _weigh_terms("sierpinski_path", t, alpha, (
         (2 * (n - 3) * lead, 1, 2),
         (4 * lead - 2 * psi2, 1, 3),
         ((n * n - 7 * n + 14) * lead - 4 * psi2, 2, 2),
         ((4 * n - 10) * lead - (4 * n - 20) * psi2, 2, 3),
         ((n - 3) * (lead + 5 * psi2), 3, 3),
-    )
+    ))
 
 
 # -- polymeric families ---------------------------------------------------------
@@ -127,47 +107,33 @@ def _sierpinski_path(n: int, t: int) -> tuple:
 def polymeric_level1_regular(n: int, degree: int, alpha: float | IndexParams) -> Number:
     """Level-1 polymeric index for a ``degree``-regular base."""
     n, d = _check_regular(n, degree)
-    return _weigh_terms("polymeric_level1_regular", 1, alpha, _polymeric_level1_regular(n, d))
-
-
-def _polymeric_level1_regular(n: int, d: int) -> tuple:
-    return (n, n, d + 1), (_int_ratio(n * d, 2), d + 1, d + 1)
+    return _weigh_terms("polymeric_level1_regular", 1, alpha, ((n, n, d + 1), (_int_ratio(n * d, 2), d + 1, d + 1)))
 
 
 def polymeric_level1_complete(n: int, alpha: float | IndexParams) -> Number:
     n = _int_arg(n, 2, "n")
-    return _weigh_terms("polymeric_level1_complete", 1, alpha, _polymeric_level1_complete(n))
-
-
-def _polymeric_level1_complete(n: int) -> tuple:
-    return (_int_ratio(n * (n + 1), 2), n, n),
+    return _weigh_terms("polymeric_level1_complete", 1, alpha, ((_int_ratio(n * (n + 1), 2), n, n),))
 
 
 def polymeric_level1_semiregular(n1: int, n2: int, d1: int, d2: int, alpha: float | IndexParams) -> Number:
     n1, n2, d1, d2 = _check_semiregular(n1, n2, d1, d2)
-    return _weigh_terms("polymeric_level1_semiregular", 1, alpha, _polymeric_level1_semiregular(n1, n2, d1, d2))
-
-
-def _polymeric_level1_semiregular(n1: int, n2: int, d1: int, d2: int) -> tuple:
     n = n1 + n2
-    return (n1, n, d1 + 1), (n2, n, d2 + 1), (n1 * d1, d1 + 1, d2 + 1)
+    return _weigh_terms("polymeric_level1_semiregular", 1, alpha,
+                        ((n1, n, d1 + 1), (n2, n, d2 + 1), (n1 * d1, d1 + 1, d2 + 1)))
 
 
 def polymeric_regular(n: int, degree: int, triangles: int, t: int, alpha: float | IndexParams) -> PolymericParts:
     """Seven-part polymeric index for a ``degree``-regular base, ``t >= 2``."""
     n, d = _check_regular(n, degree)
     tau, t = _check_triangles(n, d, triangles), _int_arg(t, 2)
-    return _weigh_terms("polymeric_regular", t, alpha, *_polymeric_regular(n, d, tau, t))
-
-
-def _polymeric_regular(n: int, d: int, tau: int, t: int) -> tuple:
     psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
     # telescoped level sums, exactly integral
     mid_hub = _int_ratio(t - 2 - n * psi2, 1 - n)     # sum_{i=2..t-1} repunit(i-1)
     mid_copy = _int_ratio(t - 2 - psi2, 1 - n)        # sum_{i=2..t-1} repunit(i-2)
     links = _int_ratio(t - 1 - psi1, 1 - n)           # sum_{i=1..t-1} repunit(i-1)
     nd, hub = n * d, n + 1  # a hub below the root has degree n + 1
-    return (
+    return _weigh_terms(
+        "polymeric_regular", t, alpha,
         ((n, n, d + 2),),
         ((_int_ratio(nd, 2), d + 2, d + 2),),
         ((n * n * psi2 - nd * mid_hub, hub, d + 2), (nd * mid_hub, hub, d + 3)),
@@ -181,12 +147,9 @@ def _polymeric_regular(n: int, d: int, tau: int, t: int) -> tuple:
 def polymeric_complete(n: int, t: int, alpha: float | IndexParams) -> PolymericParts:
     """Seven-part polymeric index for a complete base, ``t >= 2``."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
-    return _weigh_terms("polymeric_complete", t, alpha, *_polymeric_complete(n, t))
-
-
-def _polymeric_complete(n: int, t: int) -> tuple:
     psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
-    return (
+    return _weigh_terms(
+        "polymeric_complete", t, alpha,
         ((n, n, n + 1),),
         ((_int_ratio(n * (n - 1), 2), n + 1, n + 1),),
         ((n * (t - 2), n + 1, n + 1), (n * (2 + n * psi2 - t), n + 1, n + 2)),

@@ -217,6 +217,15 @@ def test_direct(capsys, k3_file):
     assert json.loads(out)["exact"] == "48"
 
 
+def test_direct_degree_sum_takes_a_zero_alpha(capsys, k3_file):
+    # M_0 counts the vertices; only the Randic-index commands refuse alpha = 0
+    rc, out, err = run(capsys, "direct", k3_file, "--degree-sum", "--alpha=0")
+    assert (rc, err) == (0, "")
+    assert out == '{\n  "index": "degree_power_sum",\n  "alpha": 0.0,\n  "value": 3.0\n}\n'
+    rc, out, err = run(capsys, "direct", k3_file, "--alpha=0")
+    assert (rc, out, err) == (2, "", "error: alpha must be nonzero\n")
+
+
 def test_direct_exact_beyond_double_range(capsys, k5_file):
     rc, out, _ = run(capsys, "direct", k5_file, "--alpha", "300", "--exact")
     assert rc == 0
@@ -370,6 +379,16 @@ def test_bench_polymeric_counts(capsys, k2_file):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     # the closed vertex/edge counts are asserted against the built graphs inside bench
     assert [int(r[4]) for r in rows] == [(2 + 1) * sx.repunit(2, t) for t in range(1, 5)]
+
+
+@pytest.mark.parametrize("n", [2**63 - 1, 3_037_000_499])
+def test_a_vertex_count_past_the_int64_keys_is_refused(capsys, tmp_path, n):
+    # no graph is built: its n-entry degree table alone would not fit in memory
+    path = tmp_path / "huge.txt"
+    path.write_text(f"p {n} 1\n1 2\n")
+    rc, out, err = run(capsys, "closed", str(path), "--variant", "S", "--t", "2", "--alpha", "1")
+    assert (rc, out) == (2, "")
+    assert err == f"error: n={n} is more vertices than int64 edge keys hold (at most 3037000498)\n"
 
 
 def test_parse_error_reports_line(capsys, tmp_path):

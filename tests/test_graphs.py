@@ -95,6 +95,63 @@ def test_graph_rejects_bad_input():
         sx.Graph(3, [(0, 1)])
 
 
+# the bound and one past it, and the largest int64; no graph is built at the
+# bound (it would need an n-entry degree table)
+@pytest.mark.parametrize("n", [3_037_000_499, 2**63 - 1, 2**70])
+def test_graph_refuses_more_vertices_than_int64_keys_hold(n):
+    assert (3_037_000_498 + 1) ** 2 - 1 < 2**63 <= (n + 1) ** 2 - 1  # the largest arc key, n*(n+1) + n
+    with pytest.raises(GraphError, match=rf"^n={n} is more vertices than int64 edge keys hold \(at most 3037000498\)$"):
+        sx.Graph(n, [(1, 2)])
+
+
+@pytest.mark.parametrize("edges", [
+    [(1.5, 2)],  # not truncated to {1, 2}
+    [(1.0, 2)],
+    np.array([[1.9, 2.0]]),
+    [("1", "2")],  # not read from the strings
+    np.array([["1", "2"]]),
+    [(1, 2), (2, 2.5)],
+    [(2**63, 2.5)],
+])
+def test_graph_takes_integer_vertex_ids_only(edges):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        sx.Graph(3, edges)
+
+
+@pytest.mark.parametrize("edges", [
+    [(2**63, 1)],  # numpy reads this list as float64
+    [(1, 2), (-2**63 - 1, 1)],
+    [(2**70, 1)],
+    np.array([[2**64 - 1, 1]], dtype=np.uint64),
+    np.array([[2**70, 1]], dtype=object),
+    [(0, 1)],
+    [(1, 4)],
+])
+def test_graph_refuses_integer_ids_outside_the_vertices_of_any_size(edges):
+    with pytest.raises(GraphError, match=r"^vertex id out of range 1\.\.3$"):
+        sx.Graph(3, edges)
+
+
+@pytest.mark.parametrize("edges", [
+    np.array([[2, 1], [3, 2]], dtype=np.int32),
+    np.array([[2, 1], [3, 2]], dtype=np.uint64),
+    np.array([[2, 1], [3, 2]], dtype=object),
+    [(np.int16(2), 1), (3, np.uint64(2))],
+    [(True, 2), (3, 2)],  # a bool is an int, as for a level
+])
+def test_graph_takes_any_integer_ids(edges):
+    assert sx.Graph(3, edges) == sx.Graph(3, [(1, 2), (2, 3)])
+
+
+def test_graph_converts_an_int64_array_without_a_copy(monkeypatch):
+    seen = []
+    keys = sx.graphs._simple_edge_keys
+    monkeypatch.setattr(sx.graphs, "_simple_edge_keys", lambda e, n: seen.append(e) or keys(e, n))
+    e = np.array([[1, 2], [2, 3]], dtype=np.int64)
+    sx.Graph(3, e)
+    assert seen[0] is e
+
+
 def test_graph_arrays_are_read_only():
     g = sx.complete_graph(3)
     with pytest.raises(ValueError):
