@@ -234,13 +234,35 @@ Triple = tuple[int, int, int]
 Part = tuple[tuple[Triple, str], ...]
 
 
+#: Edge count up to which :func:`_degree_pairs` counts in one ``Counter``: its
+#: measured crossover with the numpy sort on the sparsest bases (a dense base
+#: crosses sooner)
+_COUNTER_EDGES = 256
+
+
 def _degree_pairs(base: Graph, deg: np.ndarray, tau: np.ndarray) -> tuple[dict, dict]:
-    """The edges, and the triangles on them, per sorted end-degree pair ``(dx, dy)``,
-    counted by ``(dx, dy, tau)`` in C; every counter is linear in ``tau``. Refuses ``tau``
-    outside ``[max(0, dx + dy - n), min(dx, dy) - 1]``, the range where all
-    four counters are nonnegative at every level ``t >= 2``."""
-    n, sizes, taus = base.n, {}, {}
-    for (dx, dy, k), size in Counter(zip(*deg[base.edges.T].tolist(), tau.tolist())).items():
+    """The edges, and the triangles on them, per sorted end-degree pair ``(dx, dy)``;
+    every counter is linear in ``tau``. Up to ``_COUNTER_EDGES`` edges (256) they
+    are counted by ``(dx, dy, tau)`` in one C-level ``Counter``; above, grouped by
+    pair in one stable numpy sort and summed per run of equal pairs. Refuses
+    ``tau`` outside ``[max(0, dx + dy - n), min(dx, dy) - 1]``, the range where
+    all four counters are nonnegative at every level ``t >= 2``, naming the first
+    such edge in canonical order: above the switch the range is checked in one
+    array pass, and a base that fails it is counted by the ``Counter``, which
+    refuses."""
+    n, m, ends = base.n, base.m, deg[base.edges.T]
+    if m > _COUNTER_EDGES:
+        dx, dy = ends
+        if not ((tau < 0) | (tau < dx + dy - n) | (tau >= dx) | (tau >= dy)).any():
+            key = np.minimum(dx, dy) * n + np.maximum(dx, dy)  # degrees are below n
+            order = key.argsort(kind="stable")
+            key = key[order]
+            start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))  # each run of one pair
+            lo, hi = divmod(key[start], n)
+            sizes = dict(zip(zip(lo.tolist(), hi.tolist()), np.diff(start, append=m).tolist()))
+            return sizes, dict(zip(sizes, np.add.reduceat(tau[order], start).tolist()))
+    sizes, taus = {}, {}
+    for (dx, dy, k), size in Counter(zip(*ends.tolist(), tau.tolist())).items():
         if k < 0 or k < dx + dy - n or k >= dx or k >= dy:
             raise ArithmeticError(f"{k} triangles on an edge with end degrees {dx} and {dy} of a base on {n} vertices")
         pair = (dx, dy) if dx <= dy else (dy, dx)
@@ -378,7 +400,10 @@ class CountTable:
 def count_table(base: Graph, variant: str) -> CountTable:
     """The alpha-free step of :func:`compile_index` for variant ``"S"`` or
     ``"P"``, of any base: degrees and range-checked edge triangles, once. Per
-    edge only the triangle kernel and one C-level count by class run; what
+    edge only the triangle kernel and the count by degree pair run: Python
+    bitmasks up to 96 edges and numpy wedges above (see :func:`.graphs.edge_triangles`
+    for which wedge lookup runs at which size), then one C-level ``Counter``
+    by class up to ``_COUNTER_EDGES`` edges (256) and one numpy sort above; what
     follows loops over degree pairs and degrees. Nothing is cached."""
     if variant not in ("S", "P"):
         raise ValueError(f"variant must be 'S' or 'P', got {variant!r}")

@@ -56,7 +56,11 @@ class Graph:
             raise GraphError(f"need at least 2 vertices, got n={n}")
         if n > _MAX_VERTICES:
             raise GraphError(f"n={n} is more vertices than int64 edge keys hold (at most {_MAX_VERTICES})")
-        e = edges if isinstance(edges, np.ndarray) else np.asarray(pairs := list(edges))
+        pairs = None if isinstance(edges, np.ndarray) else list(edges)
+        try:
+            e = edges if pairs is None else np.asarray(pairs)
+        except ValueError:  # rows of unequal length, which numpy cannot stack, are not pairs
+            raise GraphError("need a nonempty sequence of vertex pairs") from None
         if e.ndim != 2 or e.shape[1] != 2 or e.shape[0] == 0:
             raise GraphError("need a nonempty sequence of vertex pairs")
         if e.dtype.kind not in "iu":
@@ -298,18 +302,28 @@ def triangles_on_edge(g: Graph, u: int, v: int) -> int:
 
 #: Edge count up to which :func:`edge_triangles` runs its Python bitmask kernel (the measured crossover)
 _BITMASK_KERNEL_EDGES = 96
+#: Most entries, ``(n+1)**2``, per wedge of the int32 edge-id table in which
+#: :func:`edge_triangles` looks its wedges up: the measured crossover with a
+#: binary search of the sorted keys, which a base with fewer wedges keeps
+_EDGE_TABLE_PER_WEDGE = 64
+#: Most entries of that table in all (16 MiB, so n <= 2047), a bound on its memory
+_EDGE_TABLE_ENTRIES = 1 << 22
 
 
 def edge_triangles(g: Graph) -> np.ndarray:
     """Triangles through every edge, as an int64 array in canonical edge order.
 
-    Up to ``_BITMASK_KERNEL_EDGES`` edges, the popcount of the AND of its ends'
-    neighbour bitmasks (Python ints) per edge. Above, each canonical edge is
-    oriented from its lower- to its higher-ranked end (rank: degree, then id;
-    no adjacency is built), so a triangle is met exactly once, as a wedge of
-    two out-neighbors of its lowest-ranked vertex closed by an edge, and is
+    Up to ``_BITMASK_KERNEL_EDGES`` edges (96), the popcount of the AND of its
+    ends' neighbour bitmasks (Python ints) per edge. Above, each canonical edge
+    is oriented from its lower- to its higher-ranked end (rank: degree, then
+    id; no adjacency is built), so a triangle is met exactly once, as a wedge
+    of two out-neighbors of its lowest-ranked vertex closed by an edge, and is
     credited to all three of its edges; the wedges number O(m**1.5) even next
-    to a hub on every vertex.
+    to a hub on every vertex. A wedge's closing edge is read from a dense table
+    of edge ids by key while its ``(n+1)**2`` entries are at most
+    ``_EDGE_TABLE_PER_WEDGE`` (64) per wedge and ``_EDGE_TABLE_ENTRIES`` (2**22,
+    so n <= 2047) in all, and found by a binary search of the sorted edge keys
+    otherwise: the table costs time in n**2, the search in the wedges.
     """
     if g.m <= _BITMASK_KERNEL_EDGES:
         edges, nbrs = g._edges.tolist(), [0] * (g.n + 1)
@@ -329,9 +343,15 @@ def edge_triangles(g: Graph) -> np.ndarray:
     later = end - slot - 1
     first = slot.repeat(later)
     second = np.arange(first.size) + (end - later.cumsum()).repeat(later)
-    wedge = dst[first] * n1 + dst[second]
-    pos = keys.searchsorted(wedge)
-    hit = keys.take(pos, mode="clip") == wedge
+    wedge = dst[first] * n1 + dst[second]  # dst ascends in a group: a canonical key
+    if n1 * n1 <= min(_EDGE_TABLE_PER_WEDGE * first.size, _EDGE_TABLE_ENTRIES):
+        table = np.zeros(n1 * n1, dtype=np.int32)  # edge id + 1 by key, 0 for no edge
+        table[keys] = np.arange(1, m + 1, dtype=np.int32)
+        pos = table.take(wedge) - 1
+        hit = pos >= 0
+    else:
+        pos = keys.searchsorted(wedge)
+        hit = keys.take(pos, mode="clip") == wedge
     return np.bincount(np.concatenate((pos[hit], eid[first[hit]], eid[second[hit]])), minlength=m)
 
 

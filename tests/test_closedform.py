@@ -237,25 +237,62 @@ for call in guarded:
 def test_overcounted_triangles_are_refused_at_compile_time_under_optimized_mode():
     # one triangle too many per edge of K4 (tau = 3 = min(dx, dy)) keeps every
     # counter nonnegative at t = 2 but not at t = 3; the count step refuses it
-    # before any exponent or level is asked for, under python -O too
+    # before any exponent or level is asked for, under python -O too. On each side
+    # of the degree-pair count switch (patched to K15's 105 edges and K9,12's 108;
+    # K24's 276 are above it as it stands) the array range check and the Counter
+    # path must refuse the same first edge in canonical order, by the same
+    # message, its end degrees unsorted (a K9,12 edge runs from degree 12 to 9)
     _run_optimized("""
 import sys
+from unittest.mock import patch
 import sierpindex as sx
 from sierpindex import closedform, graphs
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-closedform.edge_triangles = lambda g: graphs.edge_triangles(g) + 1
-k4 = sx.complete_graph(4)
-for call in (lambda: closedform.compile_index(k4, -0.5, "S"), lambda: closedform.compile_index(k4, 1.0, "P"),
-             lambda: sx.sierpinski_randic(k4, 2, sx.IndexParams(1, exact=True)),
-             lambda: sx.count_table(k4, "S"), lambda: sx.count_table(k4, "P")):
+
+def refusal(call):
     try:
         call()
     except ArithmeticError as exc:
-        if "3 triangles on an edge with end degrees 3 and 3" not in str(exc):
-            sys.exit(f"wrong message: {exc}")
-        continue
+        return str(exc)
     sys.exit("guard did not fire")
+
+def calls(base):
+    return (lambda: closedform.compile_index(base, -0.5, "S"), lambda: closedform.compile_index(base, 1.0, "P"),
+            lambda: sx.sierpinski_randic(base, 2, sx.IndexParams(1, exact=True)),
+            lambda: sx.count_table(base, "S"), lambda: sx.count_table(base, "P"))
+
+def corrupt(taus):
+    def triangles(g):
+        tau = graphs.edge_triangles(g).copy()
+        for i, k in taus.items():
+            tau[i] = k
+        return tau
+    return triangles
+
+closedform.edge_triangles = lambda g: graphs.edge_triangles(g) + 1
+for call in calls(sx.complete_graph(4)):
+    if "3 triangles on an edge with end degrees 3 and 3" not in (msg := refusal(call)):
+        sys.exit(f"wrong message: {msg}")
+k15, k24, k9_12 = sx.complete_graph(15), sx.complete_graph(24), sx.complete_bipartite_graph(9, 12)
+if k24.m <= closedform._COUNTER_EDGES:
+    sys.exit("K24 not above the switch")
+cases = [
+    (k15, closedform.edge_triangles, "14 triangles on an edge with end degrees 14 and 14 of a base on 15 vertices"),
+    (k24, closedform.edge_triangles, "23 triangles on an edge with end degrees 23 and 23 of a base on 24 vertices"),
+    # one edge past the first, one triangle past min(dx, dy) - 1
+    (k9_12, corrupt({50: 9}), "9 triangles on an edge with end degrees 12 and 9 of a base on 21 vertices"),
+    # two edges out of range: the first in canonical order is named
+    (k9_12, corrupt({70: -1, 40: 9}), "9 triangles on an edge with end degrees 12 and 9 of a base on 21 vertices"),
+    (k9_12, corrupt({40: -1, 70: 9}), "-1 triangles on an edge with end degrees 12 and 9 of a base on 21 vertices"),
+]
+for base, triangles, message in cases:
+    closedform.edge_triangles = triangles
+    for switch in (base.m - 1, base.m):  # the array path, then the Counter path
+        with patch.object(closedform, "_COUNTER_EDGES", switch):
+            for call in calls(base):
+                if (msg := refusal(call)) != message:
+                    sys.exit(f"wrong message at switch {switch}: {msg}")
 """)
 
 

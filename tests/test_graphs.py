@@ -95,6 +95,19 @@ def test_graph_rejects_bad_input():
         sx.Graph(3, [(0, 1)])
 
 
+@pytest.mark.parametrize("edges", [
+    [1, 2],
+    [(1, 2), (2, 3, 1)],  # ragged: numpy cannot stack these rows
+    [(1, 2), 2],
+    [(1, 2), (2,)],
+    [(1, 2), ()],
+    [(1, 2, 3), (2, 3, 1)],
+])
+def test_graph_refuses_anything_but_pairs(edges):
+    with pytest.raises(GraphError, match=r"^need a nonempty sequence of vertex pairs$"):
+        sx.Graph(3, edges)
+
+
 # the bound and one past it, and the largest int64; no graph is built at the
 # bound (it would need an n-entry degree table)
 @pytest.mark.parametrize("n", [3_037_000_499, 2**63 - 1, 2**70])

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import sierpindex as sx
 
 import per_edge_reference as reference
-from conftest import KERNEL_BASES
+from conftest import KERNEL_BASES, random_graph
 
 
 @st.composite
@@ -63,12 +63,24 @@ def test_triangle_edge_sum_divisibility(g):
     assert sx.edge_triangles(g).tolist() == common
 
 
-def both_kernels(g):
-    """``edge_triangles`` of ``g`` by the bitmask kernel and by the numpy kernel."""
-    with patch.object(sx.graphs, "_BITMASK_KERNEL_EDGES", g.m):
-        small = sx.edge_triangles(g)
-    with patch.object(sx.graphs, "_BITMASK_KERNEL_EDGES", g.m - 1):
-        return small, sx.edge_triangles(g)
+def both_kernels(g, f=sx.edge_triangles):
+    """``f(g)`` on each side of the kernel switches: by the Python kernels (bitmask
+    triangles, ``Counter`` degree pairs) and by the numpy kernels."""
+    def at(switch):
+        with (patch.object(sx.graphs, "_BITMASK_KERNEL_EDGES", switch),
+              patch.object(sx.closedform, "_COUNTER_EDGES", switch)):
+            return f(g)
+    return at(g.m), at(g.m - 1)
+
+
+def both_lookups(g):
+    """``edge_triangles`` of ``g`` by the numpy kernel, its wedges looked up in the
+    dense edge-id table and by a binary search of the edge keys."""
+    entries = (g.n + 1) ** 2
+    with patch.object(sx.graphs, "_EDGE_TABLE_PER_WEDGE", entries), patch.object(sx.graphs, "_EDGE_TABLE_ENTRIES", entries):
+        tabled = both_kernels(g)[1]
+    with patch.object(sx.graphs, "_EDGE_TABLE_ENTRIES", 0):
+        return tabled, both_kernels(g)[1]
 
 
 @given(small_graphs())
@@ -79,6 +91,38 @@ def test_triangle_kernels_agree(g):
     assert np.array_equal(small, wedge)
 
 
+SWITCH_PARAMS = (-300.0, -0.5, 0.5, 2.0, sx.IndexParams(1, exact=True), sx.IndexParams(3, exact=True))
+
+
+def assert_count_paths_agree(g):
+    """The count table and the compiled forms of ``g`` are the same on both sides
+    of the switch, every coefficient a Python int; the wedge lookups agree."""
+    for variant in "SP":
+        small, array = both_kernels(g, lambda g: sx.count_table(g, variant))
+        assert np.array_equal(small.tau, array.tau)
+        assert small.columns == array.columns
+        assert {type(k) for col in array.columns.values() for pair, c in col.items() for k in (*pair, c)} == {int}
+        for params in SWITCH_PARAMS:
+            small, array = both_kernels(g, lambda g: sx.compile_index(g, params, variant))
+            assert ((small.parts, small.total, small.level1, small.den, small.weights)
+                    == (array.parts, array.total, array.level1, array.den, array.weights)), (variant, params)
+    tabled, searched = both_lookups(g)
+    assert np.array_equal(tabled, searched)
+
+
+@given(small_graphs())
+@settings(max_examples=40, deadline=None)
+def test_count_paths_agree_across_the_switch(g):
+    assert_count_paths_agree(g)
+
+
+@pytest.mark.parametrize("seed, n, m", [(4, 20, 97), (5, 40, 200), (6, 200, 1_000)])
+def test_count_paths_agree_across_the_switch_on_random_bases(seed, n, m):
+    g = random_graph(seed, n, m)
+    assert g.m > sx.graphs._BITMASK_KERNEL_EDGES and sx.edge_triangles(g).any()
+    assert_count_paths_agree(g)
+
+
 @pytest.mark.parametrize("name", KERNEL_BASES)
 def test_edge_triangles_count_common_neighbours_on_kernel_bases(name):
     g = KERNEL_BASES[name]
@@ -86,7 +130,7 @@ def test_edge_triangles_count_common_neighbours_on_kernel_bases(name):
     adj[g.edges[:, 0], g.edges[:, 1]] = adj[g.edges[:, 1], g.edges[:, 0]] = 1
     common = (adj @ adj)[g.edges[:, 0], g.edges[:, 1]]
     assert common.any()
-    for got in (sx.edge_triangles(g), *both_kernels(g)):
+    for got in (sx.edge_triangles(g), *both_kernels(g), *both_lookups(g)):
         assert got.dtype == np.int64 and np.array_equal(got, common)
 
 
