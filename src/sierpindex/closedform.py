@@ -25,8 +25,10 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -239,44 +241,64 @@ Part = tuple[tuple[Triple, str], ...]
 #: crosses sooner)
 _COUNTER_EDGES = 256
 
+#: Degree-pair count above which :func:`_degree_pairs`, past ``_COUNTER_EDGES``,
+#: sums the copy group in numpy (:func:`_copies_array`) rather than in the dict
+#: loop of :func:`_copies`: their measured crossover
+_COPY_ARRAY_PAIRS = 48
 
-def _degree_pairs(base: Graph, deg: np.ndarray, tau: np.ndarray) -> tuple[dict, dict]:
-    """The edges, and the triangles on them, per sorted end-degree pair ``(dx, dy)``;
-    every counter is linear in ``tau``. Up to ``_COUNTER_EDGES`` edges (256) they
-    are counted by ``(dx, dy, tau)`` in one C-level ``Counter``; above, grouped by
-    pair in one stable numpy sort and summed per run of equal pairs. Refuses
-    ``tau`` outside ``[max(0, dx + dy - n), min(dx, dy) - 1]``, the range where
-    all four counters are nonnegative at every level ``t >= 2``, naming the first
-    such edge in canonical order: above the switch the range is checked in one
-    array pass, and a base that fails it is counted by the ``Counter``, which
-    refuses."""
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order that sorts ``keys``, the sorted keys, and the start of each run of
+    equal keys; the sort is not stable, as no caller reads the order within a run."""
+    order = keys.argsort()
+    keys = keys[order]
+    return order, keys, np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+
+
+def _degree_pairs(base: Graph, deg: np.ndarray, tau: np.ndarray, shift: int) -> tuple[dict, dict, dict]:
+    """The edges per sorted end-degree pair ``(dx, dy)``, and the lead and repunit
+    columns of their copy group at base degree + ``shift`` (see :func:`_copies`);
+    every counter is linear in ``tau``. Up to ``_COUNTER_EDGES`` edges (256) the
+    edges are counted by ``(dx, dy, tau)`` in one C-level ``Counter`` and the copy
+    group summed in the dict loop of :func:`_copies`. Above, they are grouped by
+    pair in one numpy sort, the sizes and triangle sums taken per run of equal
+    pairs, and those arrays go straight to :func:`_copies_array` when there are
+    more than ``_COPY_ARRAY_PAIRS`` pairs (48), and to the dict loop otherwise
+    (a regular or bipartite semiregular base has one). The int64 sums are
+    exact: a triangle sum is below ``m*n``, and every lead or repunit coefficient
+    at most ``2*m*n`` in absolute value. Refuses ``tau`` outside
+    ``[max(0, dx + dy - n), min(dx, dy) - 1]``, the range where all four counters
+    are nonnegative at every level ``t >= 2``, naming the first such edge in
+    canonical order: above the switch the range is checked in one array pass, and
+    a base that fails it is counted by the ``Counter``, which refuses."""
     n, m, ends = base.n, base.m, deg[base.edges.T]
     if m > _COUNTER_EDGES:
         dx, dy = ends
         if not ((tau < 0) | (tau < dx + dy - n) | (tau >= dx) | (tau >= dy)).any():
-            key = np.minimum(dx, dy) * n + np.maximum(dx, dy)  # degrees are below n
-            order = key.argsort(kind="stable")
-            key = key[order]
-            start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))  # each run of one pair
+            order, key, start = _runs(np.minimum(dx, dy) * n + np.maximum(dx, dy))  # degrees are below n
             lo, hi = divmod(key[start], n)
-            sizes = dict(zip(zip(lo.tolist(), hi.tolist()), np.diff(start, append=m).tolist()))
-            return sizes, dict(zip(sizes, np.add.reduceat(tau[order], start).tolist()))
+            size, taus = np.diff(start, append=m), np.add.reduceat(tau[order], start)
+            sizes = dict(zip(zip(lo.tolist(), hi.tolist()), size.tolist()))
+            if len(start) > _COPY_ARRAY_PAIRS:
+                return sizes, *_copies_array(n, lo, hi, size, taus, shift)
+            return sizes, *_copies(n, sizes, taus.tolist(), shift)
     sizes, taus = {}, {}
     for (dx, dy, k), size in Counter(zip(*ends.tolist(), tau.tolist())).items():
         if k < 0 or k < dx + dy - n or k >= dx or k >= dy:
             raise ArithmeticError(f"{k} triangles on an edge with end degrees {dx} and {dy} of a base on {n} vertices")
         pair = (dx, dy) if dx <= dy else (dy, dx)
         sizes[pair], taus[pair] = sizes.get(pair, 0) + size, taus.get(pair, 0) + size * k
-    return sizes, taus
+    return sizes, *_copies(n, sizes, taus.values(), shift)
 
 
-def _copies(n: int, sizes: dict, taus: dict, shift: int) -> tuple[dict, dict]:
+def _copies(n: int, sizes: dict, taus: Iterable[int], shift: int) -> tuple[dict, dict]:
     """One copy group of the base edges at base degree + ``shift``: the
     :func:`_counters` coefficients of their lead and of their repunit, summed
-    per lifted pair."""
+    per lifted pair, over ``sizes`` and the triangle sums ``taus`` in its order.
+    A Python loop over the pairs, the faster up to ``_COPY_ARRAY_PAIRS`` pairs."""
     lead, rep = {}, {}
     at_lead, at_rep = lead.get, rep.get
-    for ((dx, dy), size), k in zip(sizes.items(), taus.values()):  # both in the order of the pairs
+    for ((dx, dy), size), k in zip(sizes.items(), taus):
         a, b = dx + shift, dy + shift
         ab, up, right, both = (a, b), (a, b + 1), (a + 1, b) if a < b else (a, a + 1), (a + 1, b + 1)
         lead[ab] = at_lead(ab, 0) + size * (n - dx - dy) + k
@@ -287,6 +309,31 @@ def _copies(n: int, sizes: dict, taus: dict, shift: int) -> tuple[dict, dict]:
         rep[right] = at_rep(right, 0) - size * dy
         rep[both] = at_rep(both, 0) + size * (dx + dy + 1)
     return lead, rep
+
+
+#: Per key of a copy group, ``(a, b)``, up, right and both, its lead and then its
+#: repunit coefficient in :func:`_copies`, over ``(size*n, size*dx, size*dy, size, tau)``
+_COPY_COEFFICIENTS = np.array([[1, -1, -1, 0, 1], [0, 0, 1, 0, -1], [0, 1, 0, 0, -1], [0, 0, 0, 1, 1],
+                               [0, 0, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, -1, 0, 0], [0, 1, 1, 1, 0]])
+
+
+def _copies_array(n: int, lo: np.ndarray, hi: np.ndarray, size: np.ndarray, taus: np.ndarray,
+                  shift: int) -> tuple[dict, dict]:
+    """:func:`_copies` of pairs ``(lo, hi)`` held as int64 arrays, with their
+    sizes and triangle sums: every pair's four lifted keys packed into one array,
+    sorted once, and both columns summed per run of equal keys. A key is in the
+    repunit column when an up, right or both key of some pair is it, as in the
+    loop. The same dicts of Python ints, in key order. The int64 sums are exact:
+    every lead or repunit coefficient is at most ``2*m*n`` in absolute value."""
+    w, p = n + 2, len(lo)  # lifted end degrees are at most n + 1
+    keys = (lo + shift) * w + hi + shift + np.array([[0], [1], [w], [w + 1]])
+    keys[2] -= (lo == hi) * (w - 1)  # right is (a, a + 1) where a == b
+    coef = (_COPY_COEFFICIENTS @ np.stack((size * n, size * lo, size * hi, size, taus))).reshape(2, -1)
+    order, keys, start = _runs(keys.ravel())
+    lead, rep = np.add.reduceat(coef[:, order], start, axis=1).tolist()
+    pairs = list(zip(*(x.tolist() for x in divmod(keys[start], w))))
+    in_rep = (np.maximum.reduceat(order, start) >= p).tolist()  # a run holding an up, right or both key
+    return dict(zip(pairs, lead)), dict(compress(zip(pairs, rep), in_rep))
 
 
 def _lift(col: dict) -> dict:  # the same edges with both end degrees one higher
@@ -403,16 +450,19 @@ def count_table(base: Graph, variant: str) -> CountTable:
     edge only the triangle kernel and the count by degree pair run: Python
     bitmasks up to 96 edges and numpy wedges above (see :func:`.graphs.edge_triangles`
     for which wedge lookup runs at which size), then one C-level ``Counter``
-    by class up to ``_COUNTER_EDGES`` edges (256) and one numpy sort above; what
-    follows loops over degree pairs and degrees. Nothing is cached."""
+    by class up to ``_COUNTER_EDGES`` edges (256) and one numpy sort above. The
+    copy group is summed per degree pair in a dict loop, or, above 256 edges and
+    ``_COPY_ARRAY_PAIRS`` pairs (48), in one more numpy sort whose int64 sums are
+    exact, as every coefficient is at most ``2*m*n`` in absolute value (see
+    :func:`_degree_pairs`); what follows loops over degree pairs and degrees.
+    Nothing is cached."""
     if variant not in ("S", "P"):
         raise ValueError(f"variant must be 'S' or 'P', got {variant!r}")
     n, u, deg, tau = base.n, base.n - 1, base.degrees(), edge_triangles(base)
-    edges0, taus = _degree_pairs(base, deg, tau)
     # numerators over (n-1)**2 of 1, n**(t-2) and repunit(n, t-2)
     one, lead, psi2 = (0, 0, u * u), (u * u, 0, 0), (u, 0, -u)
     if variant == "S":
-        lead0, rep0 = _copies(n, edges0, taus, 0)
+        edges0, lead0, rep0 = _degree_pairs(base, deg, tau, 0)
         return CountTable("S", base, tau, {"lead": lead0, "rep": rep0, "edges0": edges0},
                           (((lead, "lead"), (psi2, "rep")),), ((one, "edges0"),))
     # numerators of n**(t-1), repunit(n, t-1), and the level sums over i = 2..t-1
@@ -432,7 +482,8 @@ def count_table(base: Graph, variant: str) -> CountTable:
             weighted = size * d  # times the base degree
             rise[hi], rise[mid] = weighted, rise.get(mid, 0) - weighted
             drop[mid], drop[lo] = weighted, drop.get(lo, 0) - weighted
-    (lead1, rep1), edges1 = _copies(n, edges0, taus, 1), _lift(edges0)
+    edges0, lead1, rep1 = _degree_pairs(base, deg, tau, 1)
+    edges1 = _lift(edges0)
     columns = {"root1": root1, "root2": root2, "hub1": hub1, "hub2": hub2, "rise": rise, "drop": drop,
                "lead1": lead1, "rep1": rep1, "lead2": _lift(lead1), "rep2": _lift(rep1), "edges1": edges1,
                "edges2": _lift(edges1)}

@@ -399,7 +399,8 @@ def is_connected(g: Graph) -> bool:
 class IndexParams:
     """Exponent and arithmetic mode for degree-product indices.
 
-    ``alpha`` must be finite and nonzero (edge counting is just ``m``). Exact mode keeps
+    ``alpha`` must be finite and nonzero (edge counting is just ``m``); it is kept
+    as a float, and a number with no double value is refused. Exact mode keeps
     every term an arbitrary-precision integer and requires an integer
     ``alpha >= 1``; it exists because the ``alpha = 1`` index of large
     expansions overflows 64-bit and double ranges.
@@ -409,11 +410,10 @@ class IndexParams:
     exact: bool = False
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        object.__setattr__(self, "alpha", _finite(self.alpha))
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
-        if self.exact and not (float(self.alpha).is_integer() and self.alpha >= 1):
+        if self.exact and not (self.alpha.is_integer() and self.alpha >= 1):
             raise ValueError("exact mode requires an integer alpha >= 1")
 
     @property
@@ -423,7 +423,19 @@ class IndexParams:
 
 def as_params(params: IndexParams | float) -> IndexParams:
     """Accept a bare exponent anywhere an :class:`IndexParams` is expected."""
-    return params if isinstance(params, IndexParams) else IndexParams(float(params))
+    return params if isinstance(params, IndexParams) else IndexParams(params)
+
+
+def _finite(alpha: float) -> float:
+    """``alpha`` as a float; refuses one that is not finite or has no double value
+    (an integer past the double range)."""
+    try:
+        alpha = float(alpha)
+    except OverflowError:
+        alpha = math.inf
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    return alpha
 
 
 def randic_index(g: Graph, params: IndexParams | float) -> float | int:
@@ -446,8 +458,7 @@ def degree_power_sum(g: Graph, alpha: float) -> float:
     ``alpha = 1`` gives twice the edge count; ``alpha = 2`` the classic
     squared-degree sum.
     """
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    _finite(alpha)
     deg = g.degrees().tolist()[1:]
     if alpha <= 0 and min(deg) == 0:
         raise ValueError("graph has an isolated vertex; alpha <= 0 is undefined")

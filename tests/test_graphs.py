@@ -289,12 +289,15 @@ def test_index_params_validation():
         sx.IndexParams(0.5, exact=True)
     with pytest.raises(ValueError):
         sx.IndexParams(-1, exact=True)
-    for alpha in (math.nan, math.inf, -math.inf):
+    for alpha in (math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400):  # an int past the double range too
         with pytest.raises(ValueError, match="finite"):
             sx.IndexParams(alpha)
         with pytest.raises(ValueError, match="finite"):
             sx.degree_power_sum(sx.complete_graph(3), alpha)
+    with pytest.raises(ValueError, match="finite"):
+        sx.sierpinski_randic(sx.demo_graph(), 2, 10 ** 400)
     assert sx.IndexParams(2, exact=True).int_alpha == 2
+    assert type(sx.IndexParams(2, exact=True).alpha) is float and sx.IndexParams(2) == sx.graphs.as_params(2)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

@@ -65,12 +65,13 @@ def test_triangle_edge_sum_divisibility(g):
 
 def both_kernels(g, f=sx.edge_triangles):
     """``f(g)`` on each side of the kernel switches: by the Python kernels (bitmask
-    triangles, ``Counter`` degree pairs) and by the numpy kernels."""
-    def at(switch):
+    triangles, ``Counter`` degree pairs, dict-loop copies) and by the numpy kernels."""
+    def at(switch, pairs):
         with (patch.object(sx.graphs, "_BITMASK_KERNEL_EDGES", switch),
-              patch.object(sx.closedform, "_COUNTER_EDGES", switch)):
+              patch.object(sx.closedform, "_COUNTER_EDGES", switch),
+              patch.object(sx.closedform, "_COPY_ARRAY_PAIRS", pairs)):
             return f(g)
-    return at(g.m), at(g.m - 1)
+    return at(g.m, g.m), at(g.m - 1, 0)
 
 
 def both_lookups(g):
@@ -96,16 +97,25 @@ SWITCH_PARAMS = (-300.0, -0.5, 0.5, 2.0, sx.IndexParams(1, exact=True), sx.Index
 
 def assert_count_paths_agree(g):
     """The count table and the compiled forms of ``g`` are the same on both sides
-    of the switch, every coefficient a Python int; the wedge lookups agree."""
+    of the switches and at their defaults, every coefficient a Python int; the
+    wedge lookups agree."""
+    def compiled(form):
+        return form.parts, form.total, form.level1, form.den, form.weights
+
     for variant in "SP":
         small, array = both_kernels(g, lambda g: sx.count_table(g, variant))
+        default = sx.count_table(g, variant)
         assert np.array_equal(small.tau, array.tau)
-        assert small.columns == array.columns
-        assert {type(k) for col in array.columns.values() for pair, c in col.items() for k in (*pair, c)} == {int}
+        assert small.columns == array.columns == default.columns
+        assert small.parts == array.parts and small.level1 == array.level1
+        for table in (small, array, default):
+            assert {type(k) for col in table.columns.values() for pair, c in col.items() for k in (*pair, c)} == {int}
+        # the bound that keeps the numpy copies' int64 sums exact
+        assert max(abs(c) for col in default.columns.values() for c in col.values()) <= 2 * g.m * g.n
         for params in SWITCH_PARAMS:
             small, array = both_kernels(g, lambda g: sx.compile_index(g, params, variant))
-            assert ((small.parts, small.total, small.level1, small.den, small.weights)
-                    == (array.parts, array.total, array.level1, array.den, array.weights)), (variant, params)
+            assert compiled(small) == compiled(array) == compiled(sx.compile_index(g, params, variant)), (variant, params)
+            assert {type(k) for triple in (*array.parts, array.total) for k in triple} == {int}
     tabled, searched = both_lookups(g)
     assert np.array_equal(tabled, searched)
 
@@ -120,6 +130,28 @@ def test_count_paths_agree_across_the_switch(g):
 def test_count_paths_agree_across_the_switch_on_random_bases(seed, n, m):
     g = random_graph(seed, n, m)
     assert g.m > sx.graphs._BITMASK_KERNEL_EDGES and sx.edge_triangles(g).any()
+    assert_count_paths_agree(g)
+
+
+#: past the ``Counter`` switch: one degree pair each, where ``up`` and ``right``
+#: share the key ``(a, a + 1)`` (the dict loop by default), and a base with one
+#: pair more than the copy crossover (the numpy copies by default)
+PAIR_SWITCH_BASES = {
+    "K24": sx.complete_graph(24),
+    "C300": sx.cycle_graph(300),
+    "above_pairs": random_graph(10, 100, 350),
+}
+
+
+@pytest.mark.parametrize("name", PAIR_SWITCH_BASES)
+def test_count_paths_agree_across_the_pair_switch(name):
+    g = PAIR_SWITCH_BASES[name]
+    pairs = len(set(map(tuple, np.sort(g.degrees()[g.edges], axis=1).tolist())))  # sorted end-degree pairs
+    assert g.m > sx.closedform._COUNTER_EDGES
+    assert pairs == (sx.closedform._COPY_ARRAY_PAIRS + 1 if name == "above_pairs" else 1)
+    with patch.object(sx.closedform, "_copies_array", wraps=sx.closedform._copies_array) as twin:
+        sx.count_table(g, "S")
+    assert twin.called == (name == "above_pairs")
     assert_count_paths_agree(g)
 
 
