@@ -1,8 +1,10 @@
 """Closed-form evaluation of degree-product indices on graph expansions.
 
 Instead of building the level-``t`` expansion (``n**t`` vertices), the index
-is assembled from exact per-edge and per-vertex degree-class counters of the
-base graph. Once the base and the variant are fixed, the expansion's edges
+is assembled from the base's profile: ``n``, its vertices per degree, and per
+sorted end-degree pair its edges and their triangle sum. ``R_alpha`` of both
+expansions depends on the base only through its profile, the paper's theorem
+in this form. Once the base and the variant are fixed, the expansion's edges
 with end degrees ``a`` and ``b`` number an affine function of ``n**(t-2)``
 (and, for the polymeric expansion, of ``t``): :func:`count_table` holds those
 counts, alpha-free, and :meth:`CountTable.weigh` sums them, weighed, once
@@ -25,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -236,14 +237,14 @@ Triple = tuple[int, int, int]
 Part = tuple[tuple[Triple, str], ...]
 
 
-#: Edge count up to which :func:`_degree_pairs` counts in one ``Counter``: its
+#: Edge count up to which :func:`_profile` counts in one ``Counter``: its
 #: measured crossover with the numpy sort on the sparsest bases (a dense base
 #: crosses sooner)
 _COUNTER_EDGES = 256
 
-#: Degree-pair count above which :func:`_degree_pairs`, past ``_COUNTER_EDGES``,
-#: sums the copy group in numpy (:func:`_copies_array`) rather than in the dict
-#: loop of :func:`_copies`: their measured crossover
+#: Degree-pair count above which :func:`_profile`, past ``_COUNTER_EDGES``, keeps
+#: its pairs as arrays for :func:`_copies_array` to sum the copy group in numpy,
+#: rather than as a dict for the loop of :func:`_copies`: their measured crossover
 _COPY_ARRAY_PAIRS = 48
 
 
@@ -255,50 +256,57 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, keys, np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
 
-def _degree_pairs(base: Graph, deg: np.ndarray, tau: np.ndarray, shift: int) -> tuple[dict, dict, dict]:
-    """The edges per sorted end-degree pair ``(dx, dy)``, and the lead and repunit
-    columns of their copy group at base degree + ``shift`` (see :func:`_copies`);
-    every counter is linear in ``tau``. Up to ``_COUNTER_EDGES`` edges (256) the
-    edges are counted by ``(dx, dy, tau)`` in one C-level ``Counter`` and the copy
-    group summed in the dict loop of :func:`_copies`. Above, they are grouped by
-    pair in one numpy sort, the sizes and triangle sums taken per run of equal
-    pairs, and those arrays go straight to :func:`_copies_array` when there are
-    more than ``_COPY_ARRAY_PAIRS`` pairs (48), and to the dict loop otherwise
-    (a regular or bipartite semiregular base has one). The int64 sums are
-    exact: a triangle sum is below ``m*n``, and every lead or repunit coefficient
-    at most ``2*m*n`` in absolute value. Refuses ``tau`` outside
+#: What :func:`count_table` reads of a base (see :func:`_profile`): ``n``, its
+#: vertices per degree, and per sorted end-degree pair ``(lo, hi)`` its edges and
+#: triangle sum, or those as four int64 arrays ``lo, hi, edges, sums`` to hand on
+_Profile = tuple[int, dict[int, int], Union[dict[tuple[int, int], tuple[int, int]], tuple[np.ndarray, ...]]]
+
+
+def _profile(base: Graph, tau: np.ndarray, variant: str) -> _Profile:
+    """The per-edge step of :func:`count_table`: the degrees (for ``"P"`` only, as
+    the ``S`` table reads none), and the edges, with their triangles ``tau``,
+    grouped by sorted end-degree pair. Up to ``_COUNTER_EDGES`` edges (256) the
+    edges are counted by ``(dx, dy, tau)`` in one C-level ``Counter``. Above, they
+    are grouped by pair in one numpy sort, the sizes and triangle sums taken per
+    run of equal pairs, and kept as arrays when there are more than
+    ``_COPY_ARRAY_PAIRS`` pairs (48), as a dict otherwise (a regular or bipartite
+    semiregular base has one pair). The int64 sums are exact: a triangle sum is
+    below ``m*n``. Refuses ``tau`` outside
     ``[max(0, dx + dy - n), min(dx, dy) - 1]``, the range where all four counters
     are nonnegative at every level ``t >= 2``, naming the first such edge in
     canonical order: above the switch the range is checked in one array pass, and
     a base that fails it is counted by the ``Counter``, which refuses."""
-    n, m, ends = base.n, base.m, deg[base.edges.T]
+    n, m, deg = base.n, base.m, base.degrees()
+    degrees = {d: size for d, size in enumerate(np.bincount(deg[1:]).tolist()) if size} if variant == "P" else {}
+    ends = deg[base.edges.T]
     if m > _COUNTER_EDGES:
         dx, dy = ends
         if not ((tau < 0) | (tau < dx + dy - n) | (tau >= dx) | (tau >= dy)).any():
             order, key, start = _runs(np.minimum(dx, dy) * n + np.maximum(dx, dy))  # degrees are below n
             lo, hi = divmod(key[start], n)
             size, taus = np.diff(start, append=m), np.add.reduceat(tau[order], start)
-            sizes = dict(zip(zip(lo.tolist(), hi.tolist()), size.tolist()))
             if len(start) > _COPY_ARRAY_PAIRS:
-                return sizes, *_copies_array(n, lo, hi, size, taus, shift)
-            return sizes, *_copies(n, sizes, taus.tolist(), shift)
-    sizes, taus = {}, {}
+                return n, degrees, (lo, hi, size, taus)
+            return n, degrees, dict(zip(zip(lo.tolist(), hi.tolist()), zip(size.tolist(), taus.tolist())))
+    pairs = {}
     for (dx, dy, k), size in Counter(zip(*ends.tolist(), tau.tolist())).items():
         if k < 0 or k < dx + dy - n or k >= dx or k >= dy:
             raise ArithmeticError(f"{k} triangles on an edge with end degrees {dx} and {dy} of a base on {n} vertices")
         pair = (dx, dy) if dx <= dy else (dy, dx)
-        sizes[pair], taus[pair] = sizes.get(pair, 0) + size, taus.get(pair, 0) + size * k
-    return sizes, *_copies(n, sizes, taus.values(), shift)
+        edges, sums = pairs.get(pair, (0, 0))
+        pairs[pair] = edges + size, sums + size * k
+    return n, degrees, pairs
 
 
-def _copies(n: int, sizes: dict, taus: Iterable[int], shift: int) -> tuple[dict, dict]:
-    """One copy group of the base edges at base degree + ``shift``: the
-    :func:`_counters` coefficients of their lead and of their repunit, summed
-    per lifted pair, over ``sizes`` and the triangle sums ``taus`` in its order.
+def _copies(n: int, pairs: dict, shift: int) -> tuple[dict, dict, dict]:
+    """The edges per pair of ``pairs`` (pair: edges and triangle sum), and one
+    copy group of them at base degree + ``shift``: the :func:`_counters`
+    coefficients of their lead and of their repunit, summed per lifted pair.
     A Python loop over the pairs, the faster up to ``_COPY_ARRAY_PAIRS`` pairs."""
-    lead, rep = {}, {}
+    edges, lead, rep = {}, {}, {}
     at_lead, at_rep = lead.get, rep.get
-    for ((dx, dy), size), k in zip(sizes.items(), taus):
+    for (dx, dy), (size, k) in pairs.items():
+        edges[dx, dy] = size
         a, b = dx + shift, dy + shift
         ab, up, right, both = (a, b), (a, b + 1), (a + 1, b) if a < b else (a, a + 1), (a + 1, b + 1)
         lead[ab] = at_lead(ab, 0) + size * (n - dx - dy) + k
@@ -308,7 +316,7 @@ def _copies(n: int, sizes: dict, taus: Iterable[int], shift: int) -> tuple[dict,
         rep[up] = at_rep(up, 0) - size * dx
         rep[right] = at_rep(right, 0) - size * dy
         rep[both] = at_rep(both, 0) + size * (dx + dy + 1)
-    return lead, rep
+    return edges, lead, rep
 
 
 #: Per key of a copy group, ``(a, b)``, up, right and both, its lead and then its
@@ -317,23 +325,23 @@ _COPY_COEFFICIENTS = np.array([[1, -1, -1, 0, 1], [0, 0, 1, 0, -1], [0, 1, 0, 0,
                                [0, 0, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, -1, 0, 0], [0, 1, 1, 1, 0]])
 
 
-def _copies_array(n: int, lo: np.ndarray, hi: np.ndarray, size: np.ndarray, taus: np.ndarray,
-                  shift: int) -> tuple[dict, dict]:
-    """:func:`_copies` of pairs ``(lo, hi)`` held as int64 arrays, with their
+def _copies_array(n: int, arrays: tuple[np.ndarray, ...], shift: int) -> tuple[dict, dict, dict]:
+    """:func:`_copies` of pairs ``(lo, hi)`` held as int64 ``arrays``, with their
     sizes and triangle sums: every pair's four lifted keys packed into one array,
     sorted once, and both columns summed per run of equal keys. A key is in the
     repunit column when an up, right or both key of some pair is it, as in the
-    loop. The same dicts of Python ints, in key order. The int64 sums are exact:
-    every lead or repunit coefficient is at most ``2*m*n`` in absolute value."""
-    w, p = n + 2, len(lo)  # lifted end degrees are at most n + 1
+    loop. The same three dicts of Python ints, the two columns in key order. The
+    int64 sums are exact: every coefficient is at most ``2*m*n`` in absolute value."""
+    (lo, hi, size, taus), w = arrays, n + 2  # lifted end degrees are at most n + 1
     keys = (lo + shift) * w + hi + shift + np.array([[0], [1], [w], [w + 1]])
     keys[2] -= (lo == hi) * (w - 1)  # right is (a, a + 1) where a == b
     coef = (_COPY_COEFFICIENTS @ np.stack((size * n, size * lo, size * hi, size, taus))).reshape(2, -1)
     order, keys, start = _runs(keys.ravel())
     lead, rep = np.add.reduceat(coef[:, order], start, axis=1).tolist()
     pairs = list(zip(*(x.tolist() for x in divmod(keys[start], w))))
-    in_rep = (np.maximum.reduceat(order, start) >= p).tolist()  # a run holding an up, right or both key
-    return dict(zip(pairs, lead)), dict(compress(zip(pairs, rep), in_rep))
+    in_rep = (np.maximum.reduceat(order, start) >= len(lo)).tolist()  # a run holding an up, right or both key
+    edges = dict(zip(zip(lo.tolist(), hi.tolist()), size.tolist()))
+    return edges, dict(zip(pairs, lead)), dict(compress(zip(pairs, rep), in_rep))
 
 
 def _lift(col: dict) -> dict:  # the same edges with both end degrees one higher
@@ -402,19 +410,6 @@ def _ratio(num: int, den: int, p: IndexParams, what: str, t: int) -> Number:
         raise _overflow(what, t, p.alpha) from None
 
 
-def _weigh_terms(what: str, t: int, alpha: float, *tables) -> Number | PolymericParts:
-    """Each table of ``(count, a, b)`` terms summed as ``count * fl((a*b)**alpha)``,
-    correctly rounded (the exact integer in exact mode), all over one weigher:
-    one table gives its value, seven give the :class:`PolymericParts`. Past the
-    double range it raises, naming ``what`` (and the part), ``t`` and alpha."""
-    p = as_params(alpha)
-    E, weights = _weights(p, {a * b for table in tables for _, a, b in table})
-    names = [what] if len(tables) == 1 else [f"{what} {field}" for field in PolymericParts._fields]
-    values = [_ratio(sum(c * weights[a * b] for c, a, b in table), 1 << E, p, name, t)
-              for name, table in zip(names, tables)]
-    return values[0] if len(tables) == 1 else PolymericParts(*values)
-
-
 @dataclass(eq=False)
 class CountTable:
     """One base's expansion edges by unordered lifted degree pair, alpha-free.
@@ -446,25 +441,27 @@ class CountTable:
 
 def count_table(base: Graph, variant: str) -> CountTable:
     """The alpha-free step of :func:`compile_index` for variant ``"S"`` or
-    ``"P"``, of any base: degrees and range-checked edge triangles, once. Per
-    edge only the triangle kernel and the count by degree pair run: Python
-    bitmasks up to 96 edges and numpy wedges above (see :func:`.graphs.edge_triangles`
-    for which wedge lookup runs at which size), then one C-level ``Counter``
-    by class up to ``_COUNTER_EDGES`` edges (256) and one numpy sort above. The
-    copy group is summed per degree pair in a dict loop, or, above 256 edges and
-    ``_COPY_ARRAY_PAIRS`` pairs (48), in one more numpy sort whose int64 sums are
-    exact, as every coefficient is at most ``2*m*n`` in absolute value (see
-    :func:`_degree_pairs`); what follows loops over degree pairs and degrees.
-    Nothing is cached."""
+    ``"P"``, of any base: its triangles per edge (:func:`.graphs.edge_triangles`),
+    its :func:`_profile`, and the arithmetic of :func:`_table`, which reads the
+    base only through that profile. Nothing is cached."""
     if variant not in ("S", "P"):
         raise ValueError(f"variant must be 'S' or 'P', got {variant!r}")
-    n, u, deg, tau = base.n, base.n - 1, base.degrees(), edge_triangles(base)
+    tau = edge_triangles(base)
+    return CountTable(variant, base, tau, *_table(_profile(base, tau, variant), variant))
+
+
+def _table(profile: _Profile, variant: str) -> tuple[dict[str, dict], tuple[Part, ...], Part]:
+    """The arithmetic step of :func:`count_table`: the ``columns``, ``parts`` and
+    ``level1`` of a base with this profile. It loops over the degree pairs and
+    degrees present, so a family formula's profile, a line of its parameters,
+    costs the same at any ``n``."""
+    n, degrees, pairs = profile
+    shift, u = (0 if variant == "S" else 1), n - 1
+    edges0, leads, reps = (_copies if isinstance(pairs, dict) else _copies_array)(n, pairs, shift)
     # numerators over (n-1)**2 of 1, n**(t-2) and repunit(n, t-2)
     one, lead, psi2 = (0, 0, u * u), (u * u, 0, 0), (u, 0, -u)
     if variant == "S":
-        edges0, lead0, rep0 = _degree_pairs(base, deg, tau, 0)
-        return CountTable("S", base, tau, {"lead": lead0, "rep": rep0, "edges0": edges0},
-                          (((lead, "lead"), (psi2, "rep")),), ((one, "edges0"),))
+        return {"lead": leads, "rep": reps, "edges0": edges0}, (((lead, "lead"), (psi2, "rep")),), ((one, "edges0"),)
     # numerators of n**(t-1), repunit(n, t-1), and the level sums over i = 2..t-1
     # of repunit(n, i-1) and repunit(n, i-2) and over i = 1..t-1 of repunit(n, i-1)
     top, psi1 = (u * u * n, 0, 0), (u * n, 0, -u)
@@ -472,20 +469,17 @@ def count_table(base: Graph, variant: str) -> CountTable:
     # the hub edges to the base vertices: the root hub's (degree n) at base
     # degree + 1 (level 1) and + 2, the other hubs' (degree n + 1) at + 1 and
     # + 2, and, times the base degree, those at + 3 less those at + 2 (rise)
-    # and those at + 2 less those at + 1 (drop); as the degrees ascend, the
-    # pair at + 3 is new to rise and the pair at + 2 to drop
+    # and those at + 2 less those at + 1 (drop)
     hub, root1, root2, hub1, hub2, rise, drop = n + 1, {}, {}, {}, {}, {}, {}
-    for d, size in enumerate(np.bincount(deg[1:]).tolist()):  # the base's vertices by degree
-        if size:
-            lo, mid, hi = (d + 1, hub), (d + 2, hub), (d + 3, hub) if d + 3 <= hub else (hub, d + 3)
-            root1[d + 1, n], root2[(d + 2, n) if d + 2 <= n else (n, hub)], hub1[lo], hub2[mid] = size, size, size, size
-            weighted = size * d  # times the base degree
-            rise[hi], rise[mid] = weighted, rise.get(mid, 0) - weighted
-            drop[mid], drop[lo] = weighted, drop.get(lo, 0) - weighted
-    edges0, lead1, rep1 = _degree_pairs(base, deg, tau, 1)
+    for d, size in degrees.items():
+        lo, mid, hi = (d + 1, hub), (d + 2, hub), (d + 3, hub) if d + 3 <= hub else (hub, d + 3)
+        root1[d + 1, n], root2[(d + 2, n) if d + 2 <= n else (n, hub)], hub1[lo], hub2[mid] = size, size, size, size
+        weighted = size * d  # times the base degree
+        rise[hi], rise[mid] = rise.get(hi, 0) + weighted, rise.get(mid, 0) - weighted
+        drop[mid], drop[lo] = drop.get(mid, 0) + weighted, drop.get(lo, 0) - weighted
     edges1 = _lift(edges0)
     columns = {"root1": root1, "root2": root2, "hub1": hub1, "hub2": hub2, "rise": rise, "drop": drop,
-               "lead1": lead1, "rep1": rep1, "lead2": _lift(lead1), "rep2": _lift(rep1), "edges1": edges1,
+               "lead1": leads, "rep1": reps, "lead2": _lift(leads), "rep2": _lift(reps), "edges1": edges1,
                "edges2": _lift(edges1)}
     parts = (
         ((one, "root2"),),
@@ -496,7 +490,7 @@ def count_table(base: Graph, variant: str) -> CountTable:
         ((top, "hub1"), (psi1, "drop")),
         ((lead, "lead1"), (psi2, "rep1")),
     )
-    return CountTable("P", base, tau, columns, parts, ((one, "root1"), (one, "edges1")))
+    return columns, parts, ((one, "root1"), (one, "edges1"))
 
 
 # -- the compiled level form ----------------------------------------------------

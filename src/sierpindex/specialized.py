@@ -1,16 +1,16 @@
 """Family-specific closed forms for the expansion indices.
 
-Each function reduces one base family (complete, cycle, star, path, regular,
-bipartite semiregular) to a table of exact ``(count, a, b)`` terms at its
-level, built in its own body: ``count`` expansion edges with end degrees ``a``
-and ``b``, weighed by the closed form's weigher as ``count * fl((a*b)**alpha)``.
-The value equals the general evaluator's bit for bit (its exact integer for an
-exact :class:`.graphs.IndexParams`), and one past the double range raises
-:class:`OverflowError`. The tables share no code with
-:func:`.closedform.count_table`, so they check its counting; the test suite
-checks them against it at three levels, which settles every level, and against
-explicit construction. :data:`DISPUTED_PRINTS` records the circulating formula
-variants that fail that audit, together with the diverging term.
+Each function checks its family's parameters (complete, cycle, star, path,
+regular, bipartite semiregular), writes its base's profile from them in one
+line, and runs on it the count table's arithmetic step and weigher, those of
+:func:`.closedform.count_table`. The index depends on a base only through that
+profile, so each value equals the general evaluator's bit for bit (its exact
+integer for an exact :class:`.graphs.IndexParams`), in a fixed number of integer
+operations at any parameter size; one past the double range raises
+:class:`OverflowError` naming the formula. The test suite keeps the printed
+family tables as an independent reference and proves each equal to its
+profile's table for every parameter value. :data:`DISPUTED_PRINTS` records the
+circulating formula variants that fail the construction-oracle audit.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 import operator
 
-from .closedform import Number, PolymericParts, _int_ratio, _weigh_terms
-from .construct import _int_arg, repunit
-from .graphs import IndexParams
+from .closedform import Number, PolymericParts, _fold, _Profile, _ratio, _table, _weights
+from .construct import _int_arg
+from .graphs import IndexParams, as_params
 
 #: Formula variants seen in print that do not survive the construction-oracle
 #: audit. Keys name the corrected public function; values identify the exact
@@ -50,56 +50,38 @@ def sierpinski_regular(n: int, degree: int, triangles: int, t: int, alpha: float
     :data:`DISPUTED_PRINTS`)."""
     n, d = _check_regular(n, degree)
     triangles, t = _check_triangles(n, d, triangles), _int_arg(t, 2)
-    return _weigh_terms("sierpinski_regular", t, alpha,
-                        _regular_copies(n, d, triangles, n ** (t - 2), repunit(n, t - 2), 0))
+    return _index("sierpinski_regular", t, alpha, "S", _regular(n, d, triangles))
 
 
 def sierpinski_complete(n: int, t: int, alpha: float | IndexParams) -> Number:
     """Complete base on ``n`` vertices, ``n >= 2``."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
-    return _weigh_terms("sierpinski_complete", t, alpha,
-                        ((n * (n - 1), n - 1, n), (_int_ratio(n ** (t + 1) - 2 * n * n + n, 2), n, n)))
+    return _index("sierpinski_complete", t, alpha, "S", _regular(n, n - 1, math.comb(n, 3)))
 
 
 def sierpinski_cycle(n: int, t: int, alpha: float | IndexParams) -> Number:
     """Cycle base, ``n >= 4`` (the 3-cycle is the complete graph on 3)."""
     n, t = _int_arg(n, 4, "n"), _int_arg(t, 2)
-    lead, psi2 = n ** (t - 2), repunit(n, t - 2)
-    return _weigh_terms("sierpinski_cycle", t, alpha,
-                        ((n * (n - 4) * lead, 2, 2), (4 * n * (lead - psi2), 2, 3), (n * (lead + 5 * psi2), 3, 3)))
+    return _index("sierpinski_cycle", t, alpha, "S", _regular(n, 2, 0))
 
 
 def sierpinski_semiregular(n1: int, n2: int, d1: int, d2: int, t: int, alpha: float | IndexParams) -> Number:
     """Bipartite base with uniform part degrees ``d1`` / ``d2``."""
     (n1, n2, d1, d2), t = _check_semiregular(n1, n2, d1, d2), _int_arg(t, 2)
-    n, m = n1 + n2, n1 * d1
-    lead, psi2 = n ** (t - 2), repunit(n, t - 2)
-    return _weigh_terms("sierpinski_semiregular", t, alpha, (
-        (m * (n - d1 - d2) * lead, d1, d2), (m * (d2 * lead - d1 * psi2), d1, d2 + 1),
-        (m * (d1 * lead - d2 * psi2), d1 + 1, d2), (m * (lead + (d1 + d2 + 1) * psi2), d1 + 1, d2 + 1)))
+    return _index("sierpinski_semiregular", t, alpha, "S", _semiregular(n1, n2, d1, d2))
 
 
 def sierpinski_star(r: int, t: int, alpha: float | IndexParams) -> Number:
     """Star base with ``r >= 2`` leaves."""
     r, t = _int_arg(r, 2, "r"), _int_arg(t, 2)
-    top = (r + 1) ** (t - 1)
-    return _weigh_terms("sierpinski_star", t, alpha,
-                        (((r - 1) * top + 1, 1, r + 1), (r, 2, r), (2 * top - r - 2, 2, r + 1)))
+    return _index("sierpinski_star", t, alpha, "S", _semiregular(r, 1, 1, r))
 
 
 def sierpinski_path(n: int, t: int, alpha: float | IndexParams) -> Number:
-    """Path base on ``n >= 2`` vertices (two-term form for ``n = 2``)."""
+    """Path base on ``n >= 2`` vertices."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
-    if n == 2:
-        return _weigh_terms("sierpinski_path", t, alpha, ((2, 1, 2), (2 ** t - 3, 2, 2)))
-    lead, psi2 = n ** (t - 2), repunit(n, t - 2)
-    return _weigh_terms("sierpinski_path", t, alpha, (
-        (2 * (n - 3) * lead, 1, 2),
-        (4 * lead - 2 * psi2, 1, 3),
-        ((n * n - 7 * n + 14) * lead - 4 * psi2, 2, 2),
-        ((4 * n - 10) * lead - (4 * n - 20) * psi2, 2, 3),
-        ((n - 3) * (lead + 5 * psi2), 3, 3),
-    ))
+    path = (n, {1: 2, 2: n - 2}, {(1, 2): (2, 0), (2, 2): (n - 3, 0)}) if n > 2 else _regular(2, 1, 0)
+    return _index("sierpinski_path", t, alpha, "S", path)
 
 
 # -- polymeric families ---------------------------------------------------------
@@ -107,70 +89,54 @@ def sierpinski_path(n: int, t: int, alpha: float | IndexParams) -> Number:
 def polymeric_level1_regular(n: int, degree: int, alpha: float | IndexParams) -> Number:
     """Level-1 polymeric index for a ``degree``-regular base."""
     n, d = _check_regular(n, degree)
-    return _weigh_terms("polymeric_level1_regular", 1, alpha, ((n, n, d + 1), (_int_ratio(n * d, 2), d + 1, d + 1)))
+    return _index("polymeric_level1_regular", 1, alpha, "P", _regular(n, d, 0))  # level 1 has no triangle term
 
 
 def polymeric_level1_complete(n: int, alpha: float | IndexParams) -> Number:
     n = _int_arg(n, 2, "n")
-    return _weigh_terms("polymeric_level1_complete", 1, alpha, ((_int_ratio(n * (n + 1), 2), n, n),))
+    return _index("polymeric_level1_complete", 1, alpha, "P", _regular(n, n - 1, math.comb(n, 3)))
 
 
 def polymeric_level1_semiregular(n1: int, n2: int, d1: int, d2: int, alpha: float | IndexParams) -> Number:
     n1, n2, d1, d2 = _check_semiregular(n1, n2, d1, d2)
-    n = n1 + n2
-    return _weigh_terms("polymeric_level1_semiregular", 1, alpha,
-                        ((n1, n, d1 + 1), (n2, n, d2 + 1), (n1 * d1, d1 + 1, d2 + 1)))
+    return _index("polymeric_level1_semiregular", 1, alpha, "P", _semiregular(n1, n2, d1, d2))
 
 
 def polymeric_regular(n: int, degree: int, triangles: int, t: int, alpha: float | IndexParams) -> PolymericParts:
     """Seven-part polymeric index for a ``degree``-regular base, ``t >= 2``."""
     n, d = _check_regular(n, degree)
-    tau, t = _check_triangles(n, d, triangles), _int_arg(t, 2)
-    psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
-    # telescoped level sums, exactly integral
-    mid_hub = _int_ratio(t - 2 - n * psi2, 1 - n)     # sum_{i=2..t-1} repunit(i-1)
-    mid_copy = _int_ratio(t - 2 - psi2, 1 - n)        # sum_{i=2..t-1} repunit(i-2)
-    links = _int_ratio(t - 1 - psi1, 1 - n)           # sum_{i=1..t-1} repunit(i-1)
-    nd, hub = n * d, n + 1  # a hub below the root has degree n + 1
-    return _weigh_terms(
-        "polymeric_regular", t, alpha,
-        ((n, n, d + 2),),
-        ((_int_ratio(nd, 2), d + 2, d + 2),),
-        ((n * n * psi2 - nd * mid_hub, hub, d + 2), (nd * mid_hub, hub, d + 3)),
-        _regular_copies(n, d, tau, psi2, mid_copy, 2),
-        ((n * psi1 - nd * links, hub, d + 2), (nd * links, hub, d + 3)),
-        ((n ** t - nd * psi1, hub, d + 1), (nd * psi1, hub, d + 2)),
-        _regular_copies(n, d, tau, n ** (t - 2), psi2, 1),
-    )
+    triangles, t = _check_triangles(n, d, triangles), _int_arg(t, 2)
+    return _index("polymeric_regular", t, alpha, "P", _regular(n, d, triangles))
 
 
 def polymeric_complete(n: int, t: int, alpha: float | IndexParams) -> PolymericParts:
     """Seven-part polymeric index for a complete base, ``t >= 2``."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 2)
-    psi1, psi2 = repunit(n, t - 1), repunit(n, t - 2)
-    return _weigh_terms(
-        "polymeric_complete", t, alpha,
-        ((n, n, n + 1),),
-        ((_int_ratio(n * (n - 1), 2), n + 1, n + 1),),
-        ((n * (t - 2), n + 1, n + 1), (n * (2 + n * psi2 - t), n + 1, n + 2)),
-        ((n * (n - 1) * (t - 2), n + 1, n + 2),
-         (_int_ratio(n ** 3 * psi2 + (t - 2) * (n - 2 * n * n), 2), n + 2, n + 2)),
-        ((n * (t - 1), n + 1, n + 1), (n * (psi1 - t + 1), n + 1, n + 2)),
-        ((n, n, n + 1), (n ** t - n, n + 1, n + 1)),
-        ((n * (n - 1), n, n + 1), (_int_ratio(n ** (t + 1) - 2 * n * n + n, 2), n + 1, n + 1)),
-    )
+    return _index("polymeric_complete", t, alpha, "P", _regular(n, n - 1, math.comb(n, 3)))
 
 
-def _regular_copies(n: int, d: int, tau: int, lead: int, rep: int, shift: int) -> tuple:
-    """Edge copies of a ``d``-regular base with ``tau`` triangles at end degrees
-    ``d + shift`` and up: ``lead`` per level, ``rep`` carried over from deeper
-    levels (``n**(t-2)`` and ``repunit(n, t-2)`` at level ``t``)."""
-    a = d + shift
-    return (
-        (lead * (_int_ratio(n * d * (n - 2 * d), 2) + 3 * tau), a, a),
-        (n * d * d * (lead - rep) - 6 * lead * tau, a, a + 1),
-        (lead * (_int_ratio(n * d, 2) + 3 * tau) + rep * _int_ratio(n * d * (2 * d + 1), 2), a + 1, a + 1),
-    )
+def _regular(n: int, d: int, triangles: int) -> _Profile:  # nd/2 edges (d, d), each triangle on three
+    return n, {d: n}, {(d, d): (n * d // 2, 3 * triangles)}
+
+
+def _semiregular(n1: int, n2: int, d1: int, d2: int) -> _Profile:  # n1*d1 edges (d1, d2), no triangles
+    degrees = {d1: n1, d2: n2} if d1 != d2 else {d1: n1 + n2}
+    return n1 + n2, degrees, {(min(d1, d2), max(d1, d2)): (n1 * d1, 0)}
+
+
+def _index(what: str, t: int, alpha: float | IndexParams, variant: str, profile: _Profile) -> Number | PolymericParts:
+    """The variant's index at level ``t`` of a base with this profile, each part divided once as
+    :meth:`.closedform.LevelForm.at` divides it, and named ``what`` past the double range."""
+    p, n = as_params(alpha), profile[0]
+    columns, parts, level1 = _table(profile, variant)
+    parts = parts if t > 1 else (level1,)
+    columns = {name: columns[name] for part in parts for _, name in part}  # weigh only what this level reads
+    E, weights = _weights(p, {a * b for col in columns.values() for a, b in col})
+    lead, den = n ** (t - 2) if t > 1 else 0, (n - 1) ** 2 << E
+    folded = _fold(parts, columns, weights)
+    names = [what] if len(folded) == 1 else [f"{what} {field}" for field in PolymericParts._fields]
+    values = [_ratio(a * lead + b * t + c, den, p, name, t) for name, (a, b, c) in zip(names, folded)]
+    return values[0] if len(values) == 1 else PolymericParts(*values)
 
 
 # -- dispatchers -----------------------------------------------------------------

@@ -5,14 +5,21 @@ exact integer in exact mode) and raises :class:`OverflowError` exactly where
 it does, and no public family call returns ``inf`` or ``nan``."""
 
 import inspect
+import math
+import time
 from collections import Counter
+from fractions import Fraction
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 import sierpindex as sx
 from sierpindex import specialized as sp
+from sierpindex.closedform import Number, _table
 
 from conftest import table_counts
+from family_tables import TABLES
 
 ALPHAS = [-2.0, -1.0, -0.5, -1 / 3, 0.5, 1.0, 1.5, 2.0, 3, 7.5, 40.0, 123.0, 300.0,  # 3: an int alpha
           sx.IndexParams(1, exact=True), sx.IndexParams(2, exact=True)]
@@ -108,34 +115,153 @@ def test_exact_family_values_are_integers():
 
 
 def terms(table) -> Counter:
-    """A family's ``(count, a, b)`` table as edges by sorted end-degree pair."""
+    """A family's ``(count, a, b)`` table as edges by sorted end-degree pair,
+    the pairs with no edges left out (a negative count is kept)."""
     out = Counter()
     for count, a, b in table:
         out[min(a, b), max(a, b)] += count
-    return +out
+    return Counter({pair: count for pair, count in out.items() if count})
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_family_tables_equal_the_count_table_at_every_level(name, monkeypatch):
-    """Each family formula's ``(count, a, b)`` tables, taken from the public
-    function with the weigher replaced by one that returns them (so the
-    family's validation still runs), against the count table of its base,
-    part by part. Both sides are affine in ``(n**(t-2), t, 1)``, and that 3x3
-    system at t = 2, 3, 4 has determinant ``-(n-1)**2 != 0``: equal at those
-    three levels, they are equal at every level ``t >= 2``, so every exponent
-    weighs them alike."""
+def test_family_tables_equal_the_count_table_at_every_level(name):
+    """Each family's printed ``(count, a, b)`` tables (:mod:`family_tables`), at
+    the parameters of this base, against the count table of the base, part by
+    part. Both sides are affine in ``(n**(t-2), t, 1)``, and that 3x3 system at
+    t = 2, 3, 4 has determinant ``-(n-1)**2 != 0``: equal at those three
+    levels, they are equal at every level ``t >= 2``, so every exponent weighs
+    them alike."""
     build, plain, level1, polymeric = FAMILIES[name]
     base = build()
     s_table, p_table = sx.count_table(base, "S"), sx.count_table(base, "P")
-    monkeypatch.setattr(sp, "_weigh_terms", lambda what, t, alpha, *tables: tables)
+
+    def printed(fn, *args):
+        return [terms(part) for part in TABLES[fn.__name__](*args)]
 
     for fn, params in level1:
-        assert [terms(part) for part in fn(*params, None)] == table_counts(p_table, 1), fn.__name__
+        assert printed(fn, *params) == table_counts(p_table, 1), fn.__name__
     for t in (2, 3, 4):
         for fn, params in plain:
-            assert [terms(part) for part in fn(*params, t, None)] == table_counts(s_table, t), (fn.__name__, t)
+            assert printed(fn, *params, t) == table_counts(s_table, t), (fn.__name__, t)
         for fn, params in polymeric:
-            assert [terms(part) for part in fn(*params, t, None)] == table_counts(p_table, t), (fn.__name__, t)
+            assert printed(fn, *params, t) == table_counts(p_table, t), (fn.__name__, t)
+
+
+@pytest.fixture
+def profile_counts(monkeypatch):
+    """``counts(fn, *args)``: the public family formula ``fn`` run with its
+    triangle and semiregular checks and its evaluator patched out, and, per
+    part, the edges by end-degree pair at its level of the count table that the
+    arithmetic step makes of the profile ``fn`` writes."""
+    monkeypatch.setattr(sp, "_index", lambda what, t, alpha, variant, profile: (t, variant, profile))
+    monkeypatch.setattr(sp, "_check_triangles", lambda n, d, triangles: triangles)
+    monkeypatch.setattr(sp, "_check_semiregular", lambda *params: params)
+
+    def counts(fn, *args):
+        t, variant, profile = fn(*args, None)
+        columns, parts, level1 = _table(profile, variant)
+        table = SimpleNamespace(base=SimpleNamespace(n=profile[0]), columns=columns, parts=parts, level1=level1)
+        return table_counts(table, t)
+    return counts
+
+
+EVEN = range(10, 22, 2)  # n where n*d/2 must be an integer
+SEMIREGULAR_GRIDS = {  # d1 < d2 - 1, d1 > d2 + 1, d1 == d2, with n1 + n2 > d1 + 1, d2 + 1
+    "d1 < d2": list(product(range(10, 16), range(10, 16), range(1, 5), range(6, 10))),
+    "d1 > d2": list(product(range(10, 16), range(10, 16), range(6, 10), range(1, 5))),
+    "d1 == d2": [(n1, n2, d, d) for n1, n2, d in product(range(10, 16), range(10, 16), range(1, 5))],
+}
+#: per public family formula, its parameter regimes: in each, a product grid of
+#: more points per parameter than either side's degree in it, on which no two
+#: end-degree pairs of one part coincide; a diagonal (d = n - 1, where the hub
+#: pairs change order, and d = n - 2) with 9 points, past the degree of at most
+#: 7 that ties n and d together; or a case the family handles apart
+GRIDS = {
+    "sierpinski_complete": {"n": [(n,) for n in range(2, 10)]},
+    "sierpinski_cycle": {"n": [(n,) for n in range(4, 12)]},
+    "sierpinski_star": {"r": [(r,) for r in range(3, 11)], "r = 2": [(2,)]},
+    "sierpinski_path": {"n": [(n,) for n in range(4, 12)], "n = 2": [(2,)], "n = 3": [(3,)]},
+    "sierpinski_regular": {
+        "d <= n - 3": list(product(EVEN, range(1, 5), range(3))),
+        "d = n - 2": [(n, n - 2, tau) for n, tau in product(range(4, 22, 2), range(3))],
+        "d = n - 1": [(n, n - 1, tau) for n, tau in product(range(2, 11), range(3))],
+    },
+    "sierpinski_semiregular": SEMIREGULAR_GRIDS,
+    "polymeric_level1_complete": {"n": [(n,) for n in range(2, 10)]},
+    "polymeric_level1_regular": {
+        "d <= n - 3": list(product(EVEN, range(1, 5))),
+        "d = n - 2": [(n, n - 2) for n in range(4, 22, 2)],
+        "d = n - 1": [(n, n - 1) for n in range(2, 11)],
+    },
+    "polymeric_level1_semiregular": SEMIREGULAR_GRIDS,
+    "polymeric_complete": {"n": [(n,) for n in range(2, 10)]},
+}
+GRIDS["polymeric_regular"] = GRIDS["sierpinski_regular"]
+
+
+def test_every_family_formula_has_a_grid():
+    assert set(GRIDS) == set(TABLES) == set(OVERFLOWS) - {"sierpinski_specialized", "polymeric_specialized"}
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_family_tables_are_their_profiles_tables_for_every_parameter(name, profile_counts):
+    """Each printed table against the count table of the profile its public
+    formula writes, part by part, at t = 2, 3 and 4 (level 1 for the level-1
+    formulas) over the grids of :data:`GRIDS`. At a fixed level t <= 4 each
+    count of either side is a polynomial in the parameters, of degree at most 5
+    in ``n`` (``n1``, ``n2``, ``r``), 2 in ``d`` (``d1``, ``d2``) and 1 in
+    ``triangles``: a column entry has degree at most 3 (a pair's edges, of
+    degree at most 2, times a degree or ``n``, or a triangle sum), and the level
+    multiplies it by a polynomial in ``n`` of degree at most ``t - 2``, the
+    division by ``(n-1)**2`` being exact; the printed tables read the same. So
+    equality on a product grid of 6, 3 and 2 points (or more) per parameter,
+    where no two pairs of a part coincide (checked on the printed side), is
+    equality for every parameter value in that regime; the affine form in
+    ``(n**(t-2), t, 1)`` then carries it to every level."""
+    fn, table = getattr(sp, name), TABLES[name]
+    for regime, grid in GRIDS[name].items():
+        for params in grid:
+            for t in [()] if "level1" in name else [(2,), (3,), (4,)]:
+                printed = table(*params, *t)
+                if "=" not in regime:  # a generic regime: no two pairs of a printed part coincide
+                    assert all(len({(min(a, b), max(a, b)) for _, a, b in part}) == len(part) for part in printed)
+                want = [terms(part) for part in printed]
+                assert profile_counts(fn, *params, *t) == want, (regime, params, t)
+
+
+def weigh(table, alpha) -> Number:
+    """A printed table weighed on its own: ``sum(count * fl((a*b)**alpha))``,
+    summed exactly and rounded once (an exact integer for an exact alpha)."""
+    if isinstance(alpha, sx.IndexParams):
+        return sum(count * (a * b) ** alpha.int_alpha for count, a, b in table)
+    return float(sum(count * Fraction((a * b) ** alpha) for count, a, b in table))
+
+
+BIG = 10 ** 12
+# families at n = 10**12, as (formula, parameters without the level and alpha)
+LARGE = [
+    (sp.sierpinski_complete, (BIG,)), (sp.sierpinski_cycle, (BIG,)), (sp.sierpinski_path, (BIG,)),
+    (sp.sierpinski_star, (BIG,)), (sp.sierpinski_regular, (BIG, 10 ** 6, 0)),
+    (sp.sierpinski_regular, (BIG, BIG - 1, math.comb(BIG, 3))),
+    (sp.sierpinski_semiregular, (BIG, 2 * BIG, 2 * 10 ** 6, 10 ** 6)),
+    (sp.polymeric_complete, (BIG,)), (sp.polymeric_regular, (BIG, 10 ** 6, 0)),
+    (sp.polymeric_level1_complete, (BIG,)), (sp.polymeric_level1_regular, (BIG, 10 ** 6)),
+    (sp.polymeric_level1_semiregular, (BIG, 2 * BIG, 2 * 10 ** 6, 10 ** 6)),
+]
+
+
+def test_families_answer_at_n_10_to_the_12():
+    """Every family at ``n = 10**12``, S and P at t = 3 and at level 1, against
+    its printed table weighed here: each answers at once, as its profile's
+    arithmetic loops over the degrees present, never over a range of degrees."""
+    for fn, params in LARGE:
+        t = () if "level1" in fn.__name__ else (3,)
+        for alpha in (-0.5, 1.5, sx.IndexParams(1, exact=True)):
+            start = time.perf_counter()
+            got = fn(*params, *t, alpha)
+            assert time.perf_counter() - start < 1.0, fn.__name__
+            want = [weigh(part, alpha) for part in TABLES[fn.__name__](*params, *t)]
+            assert (list(got) if isinstance(got, sx.PolymericParts) else [got]) == want, (fn.__name__, alpha)
 
 
 # one point past the double range per public callable of `specialized`, and
