@@ -7,10 +7,11 @@ expansions depends on the base only through its profile, the paper's theorem
 in this form. Once the base and the variant are fixed, the expansion's edges
 with end degrees ``a`` and ``b`` number an affine function of ``n**(t-2)``
 (and, for the polymeric expansion, of ``t``): :func:`count_table` holds those
-counts, alpha-free, and :meth:`CountTable.weigh` sums them, weighed, once
-into integer coefficients over ``(n**(t-2), t, 1)``, so that
-:meth:`LevelForm.at` evaluates any level with one power of ``n`` and one
-division. :func:`compile_index` is the two in a row.
+counts, alpha-free, and :meth:`CountTable.weigh` sums them, weighed, once into
+integer coefficients over ``(n**(t-2), t, 1)`` and ``(n-1)**2 * D``, the
+weigher's ``D`` a common denominator, so that :meth:`LevelForm.at` evaluates
+any level with one power of ``n`` and one division. :func:`compile_index` is
+the two in a row.
 
 Exact mode (integer ``alpha >= 1``) returns the integer index. Float mode
 returns the correctly rounded value of the exact sum, over the expansion's
@@ -348,16 +349,18 @@ def _lift(col: dict) -> dict:  # the same edges with both end degrees one higher
     return {(a + 1, b + 1): k for (a, b), k in col.items()}
 
 
-def _weights(p: IndexParams, products: set[int]) -> tuple[int, dict[int, int]]:
-    """The one weigher: per degree product ``k``, ``fl(k**alpha) * 2**E`` as an
-    exact integer, one rounded power per product as the oracle weighs an edge
-    (the exact power in exact mode, with ``E = 0``); returns ``E`` and them.
-    A power past the double range weighs ``2**(E + 1024)``: every count is a
-    nonnegative integer and every other weight nonnegative, so one edge of that
-    pair puts a level's quotient past the double range, and a pair with no
-    edges adds nothing."""
+def _weigh(p: IndexParams, parts: tuple[Part, ...], columns: dict[str, dict]) -> tuple[int, dict, list[Triple]]:
+    """The one weigher. Per degree product ``k`` of ``columns``, ``fl(k**alpha) * D``
+    as an exact integer, one rounded power per product as the oracle weighs an edge
+    (the exact power in exact mode); then each part summed into one triple, every
+    coefficient times the weight of its pair's product, in plain loops, as a column
+    holds a few pairs. Returns the common denominator ``D`` (``2**E`` in float
+    mode, ``1`` in exact mode), the weights and the triples. A power past the
+    double range weighs ``2**1024 * D``: every count is a nonnegative integer and
+    every other weight nonnegative, so one edge of that pair puts a level's
+    quotient past the double range, and a pair with no edges adds nothing."""
     alpha, weights, E = p.int_alpha if p.exact else p.alpha, {}, 0
-    for k in products:
+    for k in {a * b for col in columns.values() for a, b in col}:
         try:
             weights[k] = k ** alpha
         except OverflowError:
@@ -373,12 +376,6 @@ def _weights(p: IndexParams, products: set[int]) -> tuple[int, dict[int, int]]:
             except OverflowError:  # w * 2**E is past the double range, or w is
                 num, den = w.as_integer_ratio() if w < math.inf else (1 << 1024, 1)  # den is a power of two
                 weights[k] = num << (E + 1 - den.bit_length())
-    return E, weights
-
-
-def _fold(parts: tuple[Part, ...], columns: dict[str, dict], weights: dict) -> list[Triple]:
-    """Each part summed into one triple, every coefficient times the weight of
-    its pair's degree product; plain loops, as a column holds a few pairs."""
     sums = {}
     for name, col in columns.items():
         s = 0
@@ -392,7 +389,7 @@ def _fold(parts: tuple[Part, ...], columns: dict[str, dict], weights: dict) -> l
             s = sums[name]
             a, b, c = a + x * s, b + y * s, c + z * s
         folded.append((a, b, c))
-    return folded
+    return 1 << E, weights, folded
 
 
 def _overflow(what: str, t: int, alpha: float) -> OverflowError:
@@ -428,15 +425,14 @@ class CountTable:
     level1: Part
 
     def weigh(self, params: IndexParams | float) -> LevelForm:
-        """The :class:`LevelForm` of one exponent: the weights summed once into
-        ``(N, t, 1)`` coefficients, a weight past the double range as
-        ``2**(E + 1024)``, so that pair makes a level refuse where it has edges
-        and nowhere else."""
+        """The :class:`LevelForm` of one exponent: every column weighed by
+        :func:`_weigh` and summed once into ``(N, t, 1)`` coefficients over
+        ``(n-1)**2 * D``, so a pair whose power is past the double range makes a
+        level refuse where it has edges and nowhere else."""
         p, u = as_params(params), self.base.n - 1
-        E, weights = _weights(p, {a * b for col in self.columns.values() for a, b in col})
-        *folded, level1 = _fold((*self.parts, self.level1), self.columns, weights)
+        D, weights, (*folded, level1) = _weigh(p, (*self.parts, self.level1), self.columns)
         total = folded[0] if len(folded) == 1 else tuple(map(sum, zip(*folded)))
-        return LevelForm(self.variant, self.base, p, tuple(folded), total, level1[2], u * u << E, self.tau, weights)
+        return LevelForm(self.variant, self.base, p, tuple(folded), total, level1[2], u * u * D, self.tau, weights)
 
 
 def count_table(base: Graph, variant: str) -> CountTable:
@@ -493,6 +489,21 @@ def _table(profile: _Profile, variant: str) -> tuple[dict[str, dict], tuple[Part
     return columns, parts, ((one, "root1"), (one, "edges1"))
 
 
+def _index(what: str, t: int, alpha: IndexParams | float, variant: str, profile: _Profile) -> Number | PolymericParts:
+    """A family formula's index at level ``t`` of this profile, named ``what`` past the double
+    range: each part divided once as :meth:`LevelForm.at` divides it, and weighed over only
+    the nonzero entries of the columns this level reads, so no pair without edges is powered."""
+    p, n = as_params(alpha), profile[0]
+    columns, parts, level1 = _table(profile, variant)
+    parts = parts if t > 1 else (level1,)
+    columns = {name: {pair: c for pair, c in columns[name].items() if c} for part in parts for _, name in part}
+    D, _, folded = _weigh(p, parts, columns)
+    lead, den = n ** (t - 2) if t > 1 else 0, (n - 1) ** 2 * D
+    names = [what] if len(folded) == 1 else [f"{what} {field}" for field in PolymericParts._fields]
+    values = [_ratio(a * lead + b * t + c, den, p, name, t) for name, (a, b, c) in zip(names, folded)]
+    return values[0] if len(values) == 1 else PolymericParts(*values)
+
+
 # -- the compiled level form ----------------------------------------------------
 
 @dataclass(eq=False)
@@ -500,11 +511,11 @@ class LevelForm:
     """One base compiled for one variant and :class:`IndexParams`. At ``t >= 2``
     each of ``parts`` (one for ``S``, the seven :class:`PolymericParts` for
     ``P``) and their sum ``total`` is ``(a*N + b*t + c) / den`` with
-    ``N = n**(t-2)``; ``den`` is ``(n-1)**2``, times ``2**E`` in float mode.
-    A weight past the double range is ``2**(E + 1024)`` in every numerator,
-    so a level where its pair has edges raises in that one division.
+    ``N = n**(t-2)``; ``den`` is ``(n-1)**2 * D``, ``D`` the :func:`_weigh`
+    denominator. A weight past the double range is ``2**1024 * D`` in every
+    numerator, so a level where its pair has edges raises in that one division.
     ``level1`` is the level-1 numerator over ``den``, of either variant.
-    ``tau`` and ``weights`` (per degree product, over ``2**E``) serve breakdowns."""
+    ``tau`` and ``weights`` (per degree product, over ``D``) serve breakdowns."""
 
     variant: str
     base: Graph
@@ -553,9 +564,9 @@ class LevelForm:
 
     def _class_terms(self, t: int, classes: list, lead: int, rep: int, shift: int) -> tuple[EdgeClass, ...]:
         """Per class, the four terms of one copy group at ``base degree + shift`` and
-        their sum, the class weight: each its exact numerator over ``2**E``, divided once by :func:`_ratio`."""
+        their sum, the class weight: each its exact numerator over ``D``, divided once by :func:`_ratio`."""
         n, w, p, rows = self.base.n, self.weights, self.params, []
-        unit = self.den // (n - 1) ** 2  # 2**E
+        unit = self.den // (n - 1) ** 2  # D
         for dx, dy, tau, size in classes:
             counters = _counters(n, dx, dy, tau, lead, rep)
             a, b = dx + shift, dy + shift
@@ -569,7 +580,7 @@ class LevelForm:
 def compile_index(base: Graph, params: IndexParams | float, variant: str) -> LevelForm:
     """Compile ``base`` for variant ``"S"`` or ``"P"`` and one exponent: the
     :func:`count_table` weighed once. Nothing is cached."""
-    p = as_params(params)
+    p = as_params(params)  # refuse a bad exponent before the compile
     return count_table(base, variant).weigh(p)
 
 

@@ -2,13 +2,13 @@
 
 Each function checks its family's parameters (complete, cycle, star, path,
 regular, bipartite semiregular), writes its base's profile from them in one
-line, and runs on it the count table's arithmetic step and weigher, those of
-:func:`.closedform.count_table`. The index depends on a base only through that
-profile, so each value equals the general evaluator's bit for bit (its exact
-integer for an exact :class:`.graphs.IndexParams`), in a fixed number of integer
-operations at any parameter size; one past the double range raises
-:class:`OverflowError` naming the formula. The test suite keeps the printed
-family tables as an independent reference and proves each equal to its
+line, and hands that profile to :mod:`.closedform`, which runs on it the
+arithmetic and weigher of :func:`.closedform.count_table`. The index depends on
+a base only through that profile, so each value equals the general evaluator's
+bit for bit (its exact integer for an exact :class:`.graphs.IndexParams`), in a
+fixed number of integer operations at any parameter size; one past the double
+range raises :class:`OverflowError` naming the formula. The tests keep the
+printed family tables as an independent reference and prove each equal to its
 profile's table for every parameter value. :data:`DISPUTED_PRINTS` records the
 circulating formula variants that fail the construction-oracle audit.
 """
@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 import operator
 
-from .closedform import Number, PolymericParts, _fold, _Profile, _ratio, _table, _weights
+from .closedform import Number, PolymericParts, _index, _Profile
 from .construct import _int_arg
-from .graphs import IndexParams, as_params
+from .graphs import IndexParams
 
 #: Formula variants seen in print that do not survive the construction-oracle
 #: audit. Keys name the corrected public function; values identify the exact
@@ -122,21 +122,6 @@ def _regular(n: int, d: int, triangles: int) -> _Profile:  # nd/2 edges (d, d), 
 def _semiregular(n1: int, n2: int, d1: int, d2: int) -> _Profile:  # n1*d1 edges (d1, d2), no triangles
     degrees = {d1: n1, d2: n2} if d1 != d2 else {d1: n1 + n2}
     return n1 + n2, degrees, {(min(d1, d2), max(d1, d2)): (n1 * d1, 0)}
-
-
-def _index(what: str, t: int, alpha: float | IndexParams, variant: str, profile: _Profile) -> Number | PolymericParts:
-    """The variant's index at level ``t`` of a base with this profile, each part divided once as
-    :meth:`.closedform.LevelForm.at` divides it, and named ``what`` past the double range."""
-    p, n = as_params(alpha), profile[0]
-    columns, parts, level1 = _table(profile, variant)
-    parts = parts if t > 1 else (level1,)
-    columns = {name: columns[name] for part in parts for _, name in part}  # weigh only what this level reads
-    E, weights = _weights(p, {a * b for col in columns.values() for a, b in col})
-    lead, den = n ** (t - 2) if t > 1 else 0, (n - 1) ** 2 << E
-    folded = _fold(parts, columns, weights)
-    names = [what] if len(folded) == 1 else [f"{what} {field}" for field in PolymericParts._fields]
-    values = [_ratio(a * lead + b * t + c, den, p, name, t) for name, (a, b, c) in zip(names, folded)]
-    return values[0] if len(values) == 1 else PolymericParts(*values)
 
 
 # -- dispatchers -----------------------------------------------------------------

@@ -371,6 +371,20 @@ def test_a_refused_level_is_refused_before_the_compile(closed, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("closed", [lambda g, alpha: sx.compile_index(g, alpha, "Q"),
+                                    lambda g, alpha: sx.sierpinski_randic(g, 2, alpha),
+                                    lambda g, alpha: sx.polymeric_randic(g, 2, alpha)])
+@pytest.mark.parametrize("alpha, message", [(0, "alpha must be nonzero"), (math.nan, "alpha must be finite"),
+                                            (10**400, "alpha must be finite")])
+def test_a_refused_exponent_is_refused_before_the_compile(closed, alpha, message, monkeypatch):
+    calls = []
+    real = sx.closedform.edge_triangles
+    monkeypatch.setattr(sx.closedform, "edge_triangles", lambda g: calls.append(g) or real(g))
+    with pytest.raises(ValueError, match=message):  # the exponent first, even before a bad variant
+        closed(sx.demo_graph(), alpha)
+    assert calls == []
+
+
 def test_compile_index_validates_its_arguments():
     k3 = sx.complete_graph(3)
     with pytest.raises(ValueError, match="variant must be 'S' or 'P'"):
