@@ -9,9 +9,9 @@ with end degrees ``a`` and ``b`` number an affine function of ``n**(t-2)``
 (and, for the polymeric expansion, of ``t``): :func:`count_table` holds those
 counts, alpha-free, and :meth:`CountTable.weigh` sums them, weighed, once into
 integer coefficients over ``(n**(t-2), t, 1)`` and ``(n-1)**2 * D``, the
-weigher's ``D`` a common denominator, so that :meth:`LevelForm.at` evaluates
-any level with one power of ``n`` and one division. :func:`compile_index` is
-the two in a row.
+weigher's ``D`` a common denominator. :func:`compile_index` is the two in a row.
+One reader, :func:`_read`, evaluates a level of a :class:`LevelForm` or of a
+family formula with one power of ``n`` and one division per part.
 
 Exact mode (integer ``alpha >= 1``) returns the integer index. Float mode
 returns the correctly rounded value of the exact sum, over the expansion's
@@ -19,8 +19,8 @@ edges, of ``fl((a*b)**alpha)`` for end degrees ``a`` and ``b``: each edge
 weighs one rounded power, as :func:`.graphs.randic_index` weighs it, and the
 sum is rounded once at the end, so every float level equals ``randic_index``
 of the built expansion bit for bit. A value past the double range raises
-:class:`OverflowError`; a degree class with no edges at a level adds nothing
-there, whatever its weight.
+:class:`OverflowError`, before the power where bit lengths show it; a degree
+class with no edges at a level adds nothing there, whatever its weight.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from typing import NamedTuple, Union
+from itertools import compress, repeat
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -397,14 +397,27 @@ def _overflow(what: str, t: int, alpha: float) -> OverflowError:
 
 
 def _ratio(num: int, den: int, p: IndexParams, what: str, t: int) -> Number:
-    """``num / den``: the exact quotient, or the correctly rounded float; past
-    the double range it raises, naming ``what``, ``t`` and alpha."""
+    """``num / den``, exact or correctly rounded; past the double range it raises, naming ``what``, ``t`` and alpha."""
     if p.exact:
         return _int_ratio(num, den)
     try:
         return num / den
     except OverflowError:
         raise _overflow(what, t, p.alpha) from None
+
+
+def _read(nums: Iterable[Triple], n: int, t: int, den: int, p: IndexParams, names: Iterable[str]) -> list[Number]:
+    """The one level reader: per numerator ``(a, b, c)``, ``(a*n**(t-2) + b*t + c) / den`` by :func:`_ratio`, one power
+    for all, formed at the first ``a != 0``; a float shown past the double range by bit lengths is refused before it."""
+    values, lead = [], 0
+    for (a, b, c), what in zip(nums, names):
+        if a > 0 and not p.exact:
+            low = a.bit_length() - 1 + (t - 2) * (n.bit_length() - 1)  # a * n**(t-2) >= 2**low
+            if low - 1 - den.bit_length() >= 1024 and low > max(b.bit_length() + t.bit_length(), c.bit_length()) + 1:
+                raise _overflow(what, t, p.alpha)  # |b*t + c| < 2**(low-1), so num/den >= 2**1024
+        lead = lead or a and n ** (t - 2)  # formed at the first a != 0
+        values.append(_ratio(a * lead + b * t + c, den, p, what, t))
+    return values
 
 
 @dataclass(eq=False)
@@ -490,17 +503,15 @@ def _table(profile: _Profile, variant: str) -> tuple[dict[str, dict], tuple[Part
 
 
 def _index(what: str, t: int, alpha: IndexParams | float, variant: str, profile: _Profile) -> Number | PolymericParts:
-    """A family formula's index at level ``t`` of this profile, named ``what`` past the double
-    range: each part divided once as :meth:`LevelForm.at` divides it, and weighed over only
-    the nonzero entries of the columns this level reads, so no pair without edges is powered."""
+    """A family formula's index at level ``t`` of this profile, named ``what`` past the double range: weighed
+    over only the nonzero entries of the columns this level reads, so no pair without edges is powered."""
     p, n = as_params(alpha), profile[0]
     columns, parts, level1 = _table(profile, variant)
     parts = parts if t > 1 else (level1,)
     columns = {name: {pair: c for pair, c in columns[name].items() if c} for part in parts for _, name in part}
     D, _, folded = _weigh(p, parts, columns)
-    lead, den = n ** (t - 2) if t > 1 else 0, (n - 1) ** 2 * D
     names = [what] if len(folded) == 1 else [f"{what} {field}" for field in PolymericParts._fields]
-    values = [_ratio(a * lead + b * t + c, den, p, name, t) for name, (a, b, c) in zip(names, folded)]
+    values = _read(folded, n, t, (n - 1) ** 2 * D, p, names)
     return values[0] if len(values) == 1 else PolymericParts(*values)
 
 
@@ -528,18 +539,14 @@ class LevelForm:
     weights: dict[int, int]
 
     def at(self, t: int, include_breakdown: bool = False) -> IndexReport:
-        """The index at level ``t``: one ``n**(t-2)``, a few big-integer products
-        and one division; a breakdown evaluates the per-class counters at ``t``."""
+        """The index at level ``t``, read by :func:`_read`: one ``n**(t-2)``, a few big-integer
+        products and one division; a breakdown evaluates the per-class counters at ``t``."""
         t, p, n = _int_arg(t, 1), self.params, self.base.n
-        if t == 1:  # no breakdown
-            return _report(self.variant, t, p, _ratio(self.level1, self.den, p, self.variant, t), None)
-        if not p.exact and self._past_double_range(t):
-            raise _overflow(self.variant, t, p.alpha)
-        lead, (a, b, c) = n ** (t - 2), self.total
-        total = _ratio(a * lead + b * t + c, self.den, p, self.variant, t)
-        if not include_breakdown:
+        nums = (self.total, *self.parts) if include_breakdown and self.variant == "P" else (self.total,)
+        total, *parts = _read(nums if t > 1 else ((0, 0, self.level1),), n, t, self.den, p, repeat(self.variant))
+        if t == 1 or not include_breakdown:  # no breakdown at level 1
             return _report(self.variant, t, p, total, None)
-        parts = [_ratio(a * lead + b * t + c, self.den, p, self.variant, t) for a, b, c in self.parts]
+        lead = n ** (t - 2)
         psi2 = (lead - 1) // (n - 1)  # repunit(n, t-2)
         # the edges by sorted class (dx, dy, tau), as int64 keys below n**2 and m**2
         deg, e, d, k = self.base.degrees(), self.base.edges, self.base.n, int(self.tau.max()) + 1
@@ -553,14 +560,6 @@ class LevelForm:
         mid_copy = (psi2 - (t - 2)) // (n - 1)  # sum of repunit(n, i-2) over levels i = 2..t-1
         mid, top = self._class_terms(t, classes, psi2, mid_copy, 2), self._class_terms(t, classes, lead, psi2, 1)
         return _report("P", t, p, total, PolymericBreakdown(PolymericParts(*parts), mid, top, edge_class))
-
-    def _past_double_range(self, t: int) -> bool:
-        """Whether the float total is certainly at least ``2**1024``, from bit
-        lengths alone, before ``n**(t-2)`` is computed."""
-        a, b, c = self.total
-        low = a.bit_length() - 2 + int((t - 2) * math.log2(self.base.n))  # a * n**(t-2) >= 2**low
-        return (a > 0 and low - 1 - self.den.bit_length() >= 1024  # and |b*t + c| below 2**(low - 1):
-                and low > max(b.bit_length() + t.bit_length(), c.bit_length()) + 1)
 
     def _class_terms(self, t: int, classes: list, lead: int, rep: int, shift: int) -> tuple[EdgeClass, ...]:
         """Per class, the four terms of one copy group at ``base degree + shift`` and
@@ -632,8 +631,7 @@ def sierpinski_randic_bounds(base: Graph, t: int, alpha: float) -> tuple[float, 
     and a degree spread small enough that the substituted factors stay nonnegative
     (checked). A bound past the double range raises :class:`OverflowError`.
     """
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
+    as_params(alpha)  # refuses a zero, non-finite, text or bool exponent
     t = _int_arg(t, 2)
     if triangle_count(base) != 0:
         raise ValueError("bounds require a triangle-free base graph")

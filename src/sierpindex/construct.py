@@ -41,12 +41,14 @@ def _check_budget(requested: int, budget: int) -> None:
         raise VertexBudgetError(requested, budget)
 
 
-def _int_arg(value, least: int, name: str = "t", most: int | None = None) -> int:
+def _int_arg(value, least: int | None, name: str = "t", most: int | None = None) -> int:
     """``value`` as a Python int, for every level and size that feeds a power:
-    numpy integers pass, anything else (a float, a string, None) raises
+    numpy integers pass, anything else (a bool, a float, a string, None) raises
     ``TypeError``, and a value below ``least`` or above ``most`` raises ``ValueError``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not a bool")
     value = operator.index(value)
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
     if most is not None and value > most:
         raise ValueError(f"{name} must be <= {most}")

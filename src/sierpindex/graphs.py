@@ -427,8 +427,9 @@ def as_params(params: IndexParams | float) -> IndexParams:
 
 
 def _finite(alpha: float) -> float:
-    """``alpha`` as a float; refuses one that is not finite or has no double value
-    (an integer past the double range)."""
+    """``alpha`` as a float: text or a bool raises ``TypeError``, a number with no finite double ``ValueError``."""
+    if isinstance(alpha, (str, bytes, bytearray, bool, np.bool_)):
+        raise TypeError(f"alpha must be a number, not {type(alpha).__name__}")
     try:
         alpha = float(alpha)
     except OverflowError:

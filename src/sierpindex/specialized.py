@@ -16,7 +16,6 @@ circulating formula variants that fail the construction-oracle audit.
 from __future__ import annotations
 
 import math
-import operator
 
 from .closedform import Number, PolymericParts, _index, _Profile
 from .construct import _int_arg
@@ -184,7 +183,7 @@ def _check_triangles(n: int, d: int, triangles: int) -> int:
     disjoint cycles, its triangles 3-cycles and every other cycle on at least
     4 vertices. The rules are exact unless ``3 <= d <= n - 4``, where they are
     only necessary."""
-    triangles = operator.index(triangles)
+    triangles = _int_arg(triangles, None, "triangles")  # a negative count is refused below, by name
     complement = math.comb(n, 3) - n * d * (n - 1 - d) // 2 - triangles
     for k, tri in ((d, triangles), (n - 1 - d, complement)):
         bounded = max(0, n * k * (2 * k - n)) <= 6 * tri <= n * k * (k - 1)

@@ -188,6 +188,14 @@ def test_closed_refuses_values_beyond_double_range(capsys, k5_file):
         assert err.startswith("error: out of double range") and err.count("\n") == 1
 
 
+def test_closed_refuses_an_astronomical_level_by_name(capsys, k4_file):
+    # t has no float value, and n**(t-2) would not fit in memory: the refusal is read from bit lengths
+    t = 10 ** 400
+    rc, out, err = run(capsys, "closed", k4_file, "--variant", "S", "--t", str(t), "--alpha", "-0.5")
+    assert (rc, out) == (4, "")
+    assert err == f"error: out of double range: float S index at t={t}, alpha=-0.5 exceeds the double range\n"
+
+
 def test_budget_refusal_keeps_exit_3(capsys, k3_file):
     # VertexBudgetError is an OverflowError; it must not fall into exit 4
     assert issubclass(sx.VertexBudgetError, OverflowError)

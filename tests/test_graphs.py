@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -150,7 +151,7 @@ def test_graph_refuses_integer_ids_outside_the_vertices_of_any_size(edges):
     np.array([[2, 1], [3, 2]], dtype=np.uint64),
     np.array([[2, 1], [3, 2]], dtype=object),
     [(np.int16(2), 1), (3, np.uint64(2))],
-    [(True, 2), (3, 2)],  # a bool is an int, as for a level
+    [(True, 2), (3, 2)],  # numpy reads a bool id as an int
 ])
 def test_graph_takes_any_integer_ids(edges):
     assert sx.Graph(3, edges) == sx.Graph(3, [(1, 2), (2, 3)])
@@ -298,6 +299,27 @@ def test_index_params_validation():
         sx.sierpinski_randic(sx.demo_graph(), 2, 10 ** 400)
     assert sx.IndexParams(2, exact=True).int_alpha == 2
     assert type(sx.IndexParams(2, exact=True).alpha) is float and sx.IndexParams(2) == sx.graphs.as_params(2)
+
+
+@pytest.mark.parametrize("alpha", ["1", " 1e0 ", b"1", bytearray(b"1"), True, False, np.True_, np.False_])
+def test_text_and_bool_exponents_are_refused_by_type(alpha):
+    # float() would read each of them as a number
+    refusal = rf"^alpha must be a number, not {type(alpha).__name__}$"
+    k4 = sx.complete_graph(4)
+    for call in (lambda: sx.IndexParams(alpha), lambda: sx.IndexParams(alpha, exact=True),
+                 lambda: sx.degree_power_sum(k4, alpha), lambda: sx.randic_index(k4, alpha),
+                 lambda: sx.sierpinski_randic(k4, 3, alpha), lambda: sx.polymeric_randic(k4, 3, alpha),
+                 lambda: sx.sierpinski_complete(4, 3, alpha), lambda: sx.polymeric_level1_complete(4, alpha),
+                 lambda: sx.sierpinski_randic_bounds(sx.cycle_graph(4), 3, alpha)):
+        with pytest.raises(TypeError, match=refusal):
+            call()
+
+
+def test_numeric_exponents_of_any_real_type_are_taken():
+    want = sx.randic_index(sx.complete_graph(4), 0.5)
+    for alpha in (np.float32(0.5), np.float64(0.5), Fraction(1, 2)):
+        assert sx.randic_index(sx.complete_graph(4), alpha) == want
+    assert sx.IndexParams(np.int64(2), exact=True) == sx.IndexParams(2, exact=True)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

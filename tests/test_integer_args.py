@@ -100,6 +100,13 @@ def test_non_integer_levels_raise_type_error(name, bad):
 
 
 @pytest.mark.parametrize("name", sorted(LEVELS))
+@pytest.mark.parametrize("bad", [True, False])
+def test_bool_levels_raise_type_error(name, bad):
+    with pytest.raises(TypeError, match="^t must be an integer, not a bool$"):
+        LEVELS[name][0](bad)
+
+
+@pytest.mark.parametrize("name", sorted(LEVELS))
 def test_levels_below_the_least_raise_value_error(name):
     call, least, _ = LEVELS[name]
     with pytest.raises(ValueError, match=rf"^t must be >= {least}$"):
@@ -140,6 +147,25 @@ def test_numpy_sizes_give_python_results(fn, args):
             swapped[i] = float(arg)
             with pytest.raises(TypeError):
                 fn(*swapped)
+
+
+@pytest.mark.parametrize("fn, args", SIZES[1:], ids=[fn.__name__ for fn, _ in SIZES[1:]])
+def test_bool_sizes_raise_type_error(fn, args):
+    # Graph, first in SIZES, reads its vertex ids as numpy does, a bool as an int, and
+    # id_to_word its id the same way (its first argument)
+    for i, arg in enumerate(args):
+        if type(arg) is int and (fn, i) != (sx.id_to_word, 0):
+            swapped = list(args)
+            swapped[i] = True
+            with pytest.raises(TypeError, match="must be an integer, not a bool$"):
+                fn(*swapped)
+
+
+def test_a_bool_triangle_count_is_refused():
+    with pytest.raises(TypeError, match="^triangles must be an integer, not a bool$"):
+        sx.sierpinski_regular(3, 2, True, 2, -0.5)
+    with pytest.raises(ValueError, match="^-1 triangles is impossible"):
+        sx.polymeric_regular(3, 2, -1, 2, -0.5)
 
 
 def test_a_fractional_vertex_count_is_refused_as_python_refuses_it():
