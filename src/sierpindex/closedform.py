@@ -1,17 +1,17 @@
 """Closed-form evaluation of degree-product indices on graph expansions.
 
-Instead of building the level-``t`` expansion (``n**t`` vertices), the index
-is assembled from the base's profile: ``n``, its vertices per degree, and per
+Instead of building the level-``t`` expansion (``n**t`` vertices), the index is
+assembled from the base's profile: ``n``, its vertices per degree, and per
 sorted end-degree pair its edges and their triangle sum. ``R_alpha`` of both
-expansions depends on the base only through its profile, the paper's theorem
-in this form. Once the base and the variant are fixed, the expansion's edges
-with end degrees ``a`` and ``b`` number an affine function of ``n**(t-2)``
-(and, for the polymeric expansion, of ``t``): :func:`count_table` holds those
-counts, alpha-free, and :meth:`CountTable.weigh` sums them, weighed, once into
-integer coefficients over ``(n**(t-2), t, 1)`` and ``(n-1)**2 * D``, the
-weigher's ``D`` a common denominator. :func:`compile_index` is the two in a row.
-One reader, :func:`_read`, evaluates a level of a :class:`LevelForm` or of a
-family formula with one power of ``n`` and one division per part.
+expansions depends on the base only through its profile, the paper's theorem in
+this form. Once the base and the variant are fixed, the expansion's edges with
+end degrees ``a`` and ``b`` number an affine function of ``n**(t-2)`` (and, for
+the polymeric expansion, of ``t``): :func:`count_table` holds those counts,
+alpha-free, and :meth:`CountTable.weigh` sums them, weighed, once into integer
+coefficients over ``(n**(t-2), t, 1)`` and ``(n-1)**2 * D``, the weigher's ``D``
+a common denominator. :func:`compile_index` is the two in a row. One reader,
+:func:`_read`, reads a level of a :class:`LevelForm`, a family formula or the
+bounds: one power of ``n``, which a breakdown reuses, and one division per part.
 
 Exact mode (integer ``alpha >= 1``) returns the integer index. Float mode
 returns the correctly rounded value of the exact sum, over the expansion's
@@ -406,18 +406,18 @@ def _ratio(num: int, den: int, p: IndexParams, what: str, t: int) -> Number:
         raise _overflow(what, t, p.alpha) from None
 
 
-def _read(nums: Iterable[Triple], n: int, t: int, den: int, p: IndexParams, names: Iterable[str]) -> list[Number]:
-    """The one level reader: per numerator ``(a, b, c)``, ``(a*n**(t-2) + b*t + c) / den`` by :func:`_ratio`, one power
-    for all, formed at the first ``a != 0``; a float shown past the double range by bit lengths is refused before it."""
+def _read(nums: Iterable[Triple], n: int, t: int, den: int, p: IndexParams, names: Iterable[str], power: bool = False):
+    """The one level reader: ``(a*n**(t-2) + b*t + c) / den`` per numerator by :func:`_ratio`, a float past range
+    refused from bit lengths before the one power, which is formed at the first ``a != 0`` or for ``power`` (else 0)."""
     values, lead = [], 0
     for (a, b, c), what in zip(nums, names):
-        if a > 0 and not p.exact:
-            low = a.bit_length() - 1 + (t - 2) * (n.bit_length() - 1)  # a * n**(t-2) >= 2**low
+        if a and not p.exact:
+            low = a.bit_length() - 1 + (t - 2) * (n.bit_length() - 1)  # |a * n**(t-2)| >= 2**low
             if low - 1 - den.bit_length() >= 1024 and low > max(b.bit_length() + t.bit_length(), c.bit_length()) + 1:
-                raise _overflow(what, t, p.alpha)  # |b*t + c| < 2**(low-1), so num/den >= 2**1024
+                raise _overflow(what, t, p.alpha)  # |b*t + c| < 2**(low-1), so |num/den| >= 2**1024
         lead = lead or a and n ** (t - 2)  # formed at the first a != 0
         values.append(_ratio(a * lead + b * t + c, den, p, what, t))
-    return values
+    return values, lead or (n ** (t - 2) if power else 0)  # a breakdown's power: every a is 0 where every weight is
 
 
 @dataclass(eq=False)
@@ -511,7 +511,7 @@ def _index(what: str, t: int, alpha: IndexParams | float, variant: str, profile:
     columns = {name: {pair: c for pair, c in columns[name].items() if c} for part in parts for _, name in part}
     D, _, folded = _weigh(p, parts, columns)
     names = [what] if len(folded) == 1 else [f"{what} {field}" for field in PolymericParts._fields]
-    values = _read(folded, n, t, (n - 1) ** 2 * D, p, names)
+    values, _ = _read(folded, n, t, (n - 1) ** 2 * D, p, names)
     return values[0] if len(values) == 1 else PolymericParts(*values)
 
 
@@ -540,13 +540,14 @@ class LevelForm:
 
     def at(self, t: int, include_breakdown: bool = False) -> IndexReport:
         """The index at level ``t``, read by :func:`_read`: one ``n**(t-2)``, a few big-integer
-        products and one division; a breakdown evaluates the per-class counters at ``t``."""
+        products and one division; a breakdown evaluates the per-class counters at ``t`` from that power."""
         t, p, n = _int_arg(t, 1), self.params, self.base.n
-        nums = (self.total, *self.parts) if include_breakdown and self.variant == "P" else (self.total,)
-        total, *parts = _read(nums if t > 1 else ((0, 0, self.level1),), n, t, self.den, p, repeat(self.variant))
-        if t == 1 or not include_breakdown:  # no breakdown at level 1
+        breakdown = include_breakdown and t > 1  # no breakdown at level 1
+        nums = (self.total, *self.parts) if breakdown and self.variant == "P" else (self.total,)
+        nums = nums if t > 1 else ((0, 0, self.level1),)
+        (total, *parts), lead = _read(nums, n, t, self.den, p, repeat(self.variant), breakdown)
+        if not breakdown:
             return _report(self.variant, t, p, total, None)
-        lead = n ** (t - 2)
         psi2 = (lead - 1) // (n - 1)  # repunit(n, t-2)
         # the edges by sorted class (dx, dy, tau), as int64 keys below n**2 and m**2
         deg, e, d, k = self.base.degrees(), self.base.edges, self.base.n, int(self.tau.max()) + 1
@@ -627,12 +628,11 @@ def sierpinski_randic_bounds(base: Graph, t: int, alpha: float) -> tuple[float, 
     its extreme over the degree range and each degree-class counter with its
     extreme; on exact inputs both bounds equal the exact index precisely when the
     base is regular. Evaluated exactly on rounded float inputs, a bound can miss
-    that index, and the float value, by their rounding. Requires minimum degree >= 1
-    and a degree spread small enough that the substituted factors stay nonnegative
-    (checked). A bound past the double range raises :class:`OverflowError`.
+    that index, and the float value, by their rounding. Requires minimum degree >= 1 and a degree
+    spread small enough that the substituted factors stay nonnegative (checked). :func:`_read` reads
+    both bounds: one past the double range raises :class:`OverflowError`, before ``n**(t-2)``.
     """
-    as_params(alpha)  # refuses a zero, non-finite, text or bool exponent
-    t = _int_arg(t, 2)
+    alpha, t = as_params(alpha).alpha, _int_arg(t, 2)  # a zero, non-finite, text or bool exponent first
     if triangle_count(base) != 0:
         raise ValueError("bounds require a triangle-free base graph")
     degs = base.degrees().tolist()[1:]
@@ -641,14 +641,11 @@ def sierpinski_randic_bounds(base: Graph, t: int, alpha: float) -> tuple[float, 
         raise ValueError("bounds require no isolated vertices")
 
     n, m_edges = base.n, base.m  # m = M1 / 2
-    lead, rep = n ** (t - 2), repunit(n, t - 2)
-
-    def envelope(d_in: int, d_out: int, e: Fraction) -> float:
-        return float(
-            lead * (n - 2 * d_out) * r_base
-            + (lead * d_in - d_out * rep) * (2 * r_base + e * m_next)
-            + (lead + (2 * d_in + 1) * rep) * (r_base + e * m_next + m_edges * e * e)
-        )
+    def envelope(d_in: int, d_out: int, e: Fraction) -> tuple[Fraction, Fraction]:
+        # lead*x + repunit(n, t-2)*y is ((x*(n-1) + y)*n**(t-2) - y) / (n-1): (a, c) of that numerator
+        w1, w2 = 2 * r_base + e * m_next, r_base + e * m_next + m_edges * e * e
+        y = (2 * d_in + 1) * w2 - d_out * w1
+        return ((n - 2 * d_out) * r_base + d_in * w1 + w2) * (n - 1) + y, -y
 
     try:  # exact on the float inputs, each bound rounded once; OverflowError: past a float
         r_base, m_next = Fraction(randic_index(base, alpha)), Fraction(degree_power_sum(base, alpha + 1))
@@ -659,6 +656,9 @@ def sierpinski_randic_bounds(base: Graph, t: int, alpha: float) -> tuple[float, 
         e_lo, e_hi = min(cross), max(cross)
         if min(at_min, at_max) + e_lo < 0:
             raise ValueError("degree spread too large for a valid envelope at this alpha")
-        return envelope(dmin, dmax, e_lo), envelope(dmax, dmin, e_hi)
+        nums = envelope(dmin, dmax, e_lo), envelope(dmax, dmin, e_hi)
+        scale = max(v.denominator for num in nums for v in num)  # powers of two: a multiple of each
+        nums = [(int(a * scale), 0, int(c * scale)) for a, c in nums]
+        return tuple(_read(nums, n, t, (n - 1) * scale, IndexParams(alpha), "SS")[0])
     except OverflowError:
         raise OverflowError(f"float S bounds at t={t}, alpha={alpha:g} exceed the double range") from None

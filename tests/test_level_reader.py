@@ -1,18 +1,22 @@
 """The one level reader, ``closedform._read``: every closed-form level
-numerator, of a compiled form or a family formula, is read there, with one
-``n**(t-2)`` per level read, and a float past the double range is refused from
-bit lengths before that power is computed, so a refusal costs the same at any
-level."""
+numerator, of a compiled form, a family formula or the triangle-free bounds, is
+read there, with one ``n**(t-2)`` per level read, which a breakdown reuses, and
+a float past the double range is refused from bit lengths before that power is
+computed, so a refusal costs the same at any level."""
 
 import ast
 import inspect
 import tracemalloc
+from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sierpindex as sx
+from conftest import TRIANGLE_FREE, build_corpus
 from sierpindex import closedform
 from sierpindex.closedform import _read
 
@@ -88,11 +92,13 @@ class _CountingInt(int):
 def test_a_level_read_forms_one_power_and_none_without_a_power_term():
     powers = []
     n, p, exact = _CountingInt(4, powers), sx.IndexParams(-0.5), sx.IndexParams(1, exact=True)
-    assert list(_read([(0, 3, -1), (0, 0, 6)], n, ASTRONOMICAL, 3 * ASTRONOMICAL, p, "SS")) == [1.0, 0.0]
-    assert list(_read([(0, 0, 8)], n, ASTRONOMICAL, 2, exact, "P")) == [4]  # every level-1 numerator is (0, 0, c)
+    assert _read([(0, 3, -1), (0, 0, 6)], n, ASTRONOMICAL, 3 * ASTRONOMICAL, p, "SS") == ([1.0, 0.0], 0)
+    assert _read([(0, 0, 8)], n, ASTRONOMICAL, 2, exact, "P") == ([4], 0)  # every level-1 numerator is (0, 0, c)
     assert powers == []
-    assert list(_read([(0, 0, 9), (3, 0, 0), (0, 1, 1), (3, 1, 1)], n, 5, 3, exact, "PPPP")) == [3, 64, 2, 66]
+    assert _read([(0, 0, 9), (3, 0, 0), (0, 1, 1), (3, 1, 1)], n, 5, 3, exact, "PPPP") == ([3, 64, 2, 66], 64)
     assert powers == [3]
+    assert _read([(0, 0, 9)], n, 5, 3, exact, "P", power=True) == ([3], 64)  # formed for a breakdown alone
+    assert powers == [3, 3]
 
 
 def test_a_polymeric_family_level_forms_one_power():
@@ -113,15 +119,15 @@ def _reference(num, n, t, den, p, what):
 
 
 @settings(max_examples=500, deadline=None)
-@given(a=st.integers(0, 2 ** 1100), b=st.integers(-2 ** 1100, 2 ** 1100), c=st.integers(-2 ** 1100, 2 ** 1100),
+@given(a=st.integers(-2 ** 1100, 2 ** 1100), b=st.integers(-2 ** 1100, 2 ** 1100), c=st.integers(-2 ** 1100, 2 ** 1100),
        n=st.integers(2, 2 ** 40), t=st.integers(2, 120), e=st.integers(1000, 1060))
 def test_the_bit_length_refusal_refuses_only_past_the_double_range(a, b, c, n, t, e):
     # a denominator that puts a*n**(t-2)/den near 2**e, so near the edge of the
     # double range: the refusal before the power must be exactly where the
     # division itself overflows
-    p, num, den = sx.IndexParams(-0.5), (a, b, c), max(1, a * n ** (t - 2) >> e)
+    p, num, den = sx.IndexParams(-0.5), (a, b, c), max(1, abs(a) * n ** (t - 2) >> e)
     try:
-        got = _read([num], n, t, den, p, ["S"])[0]
+        got = _read([num], n, t, den, p, ["S"])[0][0]
     except OverflowError as exc:
         got = str(exc)
     assert got == _reference(num, n, t, den, p, "S")
@@ -144,4 +150,85 @@ def test_only_the_reader_divides_a_level_numerator():
     calls = _callers(ast.parse(inspect.getsource(closedform)))
     assert {name for name, called in calls.items() if called & {"/", "_int_ratio"}} == {"_ratio"}
     assert {name for name, called in calls.items() if "_ratio" in called} == {"_read", "_class_terms"}
-    assert {name for name, called in calls.items() if "_read" in called} == {"at", "_index"}
+    assert {name for name, called in calls.items() if "_read" in called} == {"at", "_index", "sierpinski_randic_bounds"}
+
+
+def _mentions_t(node) -> bool:
+    return any(isinstance(sub, ast.Name) and sub.id == "t" for sub in ast.walk(node))
+
+
+def test_only_the_reader_raises_n_to_a_level_for_an_index_value():
+    # a power whose exponent mentions t, or a repunit at a level, is formed in
+    # _read alone, apart from the exact census counts, which are not index values
+    tree = ast.parse(inspect.getsource(closedform))
+    powers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and _mentions_t(node.right)
+              or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("pow", "repunit") and any(map(_mentions_t, node.args))}
+    assert powers == {"_read", "edge_class_counts", "vertex_class_counts"}
+    assert "float" not in _callers(tree)["sierpinski_randic_bounds"]
+
+
+@pytest.mark.parametrize("name", TRIANGLE_FREE)
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, 1, 2])
+def test_deep_bounds_answer_or_refuse_without_the_power(name, alpha):
+    # the parent formed n**(t-2) and its repunit first: an 18.7 MB peak on C4 at -0.5
+    base = build_corpus()[name]
+    tracemalloc.start()
+    try:
+        try:
+            lo, hi = sx.sierpinski_randic_bounds(base, DEEP, alpha)
+            assert lo <= hi
+        except OverflowError as exc:
+            assert str(exc) == f"float S bounds at t={DEEP}, alpha={alpha:g} exceed the double range"
+        except ValueError as exc:  # as at any level: the envelope's factors would go negative
+            assert str(exc) == "degree spread too large for a valid envelope at this alpha"
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2), Fraction(1, 2), np.float64(2.0)])
+def test_a_bounds_refusal_names_any_accepted_exponent(alpha):
+    # a Fraction has no :g format in Python 3.11: the message formats the validated float
+    with pytest.raises(OverflowError, match=rf"^float S bounds at t=3000, alpha={float(alpha):g} exceed the double"):
+        sx.sierpinski_randic_bounds(sx.cycle_graph(6), 3000, alpha)
+    assert sx.sierpinski_randic_bounds(sx.cycle_graph(6), 3, alpha) == sx.sierpinski_randic_bounds(
+        sx.cycle_graph(6), 3, float(alpha))
+
+
+class _CountingBase:
+    """A base whose ``n`` records its powers; everything else is the base's own."""
+
+    def __init__(self, base, powers):
+        self._base, self.n = base, _CountingInt(base.n, powers)
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+
+@pytest.mark.parametrize("variant", "SP")
+def test_a_breakdown_reuses_the_readers_one_power(variant):
+    powers, k4, exact = [], sx.complete_graph(4), sx.IndexParams(1, exact=True)
+    form = closedform.compile_index(k4, exact, variant)
+    want = form.at(30, include_breakdown=True).to_json_dict()
+    form.base = _CountingBase(k4, powers)
+    assert form.at(30, include_breakdown=True).to_json_dict() == want
+    assert powers == [28]
+
+
+def _counts(report) -> list[int]:
+    b = report.breakdown
+    return [term.count for group in ((b.classes,) if report.variant == "S" else (b.copies_mid, b.copies_top))
+            for row in group for term in row.terms]
+
+
+@pytest.mark.parametrize("variant", "SP")
+def test_a_breakdown_counts_edges_where_every_weight_is_zero(variant):
+    # every degree product of K4 raised to -1100 rounds to 0.0, so every level
+    # numerator is 0 and no value needs the power; the class counts still do
+    zero, some = (closedform.compile_index(sx.complete_graph(4), alpha, variant) for alpha in (-1100.0, -0.5))
+    assert zero.total == (0, 0, 0)
+    report = zero.at(6, include_breakdown=True)
+    assert report.value == 0.0
+    assert _counts(report) == _counts(some.at(6, include_breakdown=True)) != [0] * len(_counts(report))
