@@ -1,9 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, I/O and the exit table.
 
 Subcommands: ``gen`` (named families), ``expand`` (explicit construction),
 ``closed`` (closed-form index), ``direct`` (index of an explicit graph),
 ``verify`` (closed form vs construction sweep; nonzero exit on mismatch) and
-``bench`` (closed form vs construction timings, CSV).
+``bench`` (closed form vs construction timings, CSV). Sizes, the budget check
+and every refusal's text come from the library.
 
 The vertex budget comes from ``--budget`` when given, else from the
 ``SIERPINDEX_VERTEX_BUDGET`` environment variable, else the built-in default.
@@ -30,18 +31,11 @@ _ENV_BUDGET = "SIERPINDEX_VERTEX_BUDGET"
 class _Variant(NamedTuple):
     build: Callable  # (base, t, budget) -> Graph
     labels: Callable  # (base, t) -> one label per vertex id
-    size: Callable  # (base, t) -> (vertices, edges) of the expansion
-
-
-def _polymeric_size(base: graphs.Graph, t: int) -> tuple[int, int]:
-    layout = construct.polymeric_layout(base.n, t)
-    return layout.total_vertices, layout.total_edges(base.m)
 
 
 _VARIANTS = {
-    "S": _Variant(construct.sierpinski_graph, construct.vertex_labels,
-                  lambda base, t: (base.n ** t, base.m * construct.repunit(base.n, t))),
-    "P": _Variant(construct.polymeric_graph, construct.polymeric_vertex_labels, _polymeric_size),
+    "S": _Variant(construct.sierpinski_graph, construct.vertex_labels),
+    "P": _Variant(construct.polymeric_graph, construct.polymeric_vertex_labels),
 }
 
 
@@ -67,10 +61,10 @@ def _budget(args) -> int:
     raise ValueError(f"{_ENV_BUDGET} must be an integer, got {env!r}")
 
 
-def _parse_t_range(text: str) -> list[int]:
+def _parse_t_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     with suppress(ValueError):  # a level below 1 is refused where it is used
-        if out := list(range(int(lo), int(hi) + 1) if sep else [int(text)]):
+        if out := range(int(lo), int(hi) + 1) if sep else range(int(text), int(text) + 1):
             return out
     raise ValueError(f"bad t range {text!r}")
 
@@ -114,14 +108,10 @@ def _cmd_direct(args) -> int:
     if args.degree_sum and args.exact:
         raise ValueError("--exact applies to the randic index only, not to --degree-sum")
     g = _load_graph(args.graph)
-    index = "degree_power_sum" if args.degree_sum else "randic"
-    try:
-        if args.degree_sum:
-            value = graphs.degree_power_sum(g, args.alpha)
-        else:
-            value = graphs.randic_index(g, graphs.IndexParams(args.alpha, exact=args.exact))
-    except OverflowError:  # a power or the float sum past the double range
-        raise OverflowError(f"float {index} index at alpha={args.alpha:g} exceeds the double range") from None
+    if args.degree_sum:
+        index, value = "degree_power_sum", graphs.degree_power_sum(g, args.alpha)
+    else:
+        index, value = "randic", graphs.randic_index(g, graphs.IndexParams(args.alpha, exact=args.exact))
     doc = {"index": index, "alpha": args.alpha, "value": closedform._float_or_none(value)}
     if args.exact:
         doc["exact"] = str(value)
@@ -182,20 +172,19 @@ def _cmd_bench(args) -> int:
     base = _load_graph(args.graph)
     budget = _budget(args)
     variant = _VARIANTS[args.variant]
-    ts = _parse_t_range(args.t)
     lines = ["variant,t,closed_ns,construct_ns,vertices,edges"]
-    for t in ts:
+    for t in _parse_t_range(args.t):
         start = time.perf_counter_ns()  # a whole per-call closed form: compile and evaluate
         closedform.compile_index(base, args.alpha, args.variant).at(t)
         closed_ns = time.perf_counter_ns() - start
-        vertices, edges = variant.size(base, t)
-        if vertices <= budget:
+        vertices, edges = construct._expansion_size(base.n, base.m, t, args.variant)
+        try:  # the builder refuses a level past the budget
             start = time.perf_counter_ns()
             built = variant.build(base, t, budget)
             construct_ns = str(time.perf_counter_ns() - start)
             if (built.n, built.m) != (vertices, edges):
                 raise ArithmeticError(f"built {(built.n, built.m)}, expected {(vertices, edges)}")
-        else:
+        except construct.VertexBudgetError:
             construct_ns = "skipped: budget"
         lines.append(f"{args.variant},{t},{closed_ns},{construct_ns},{vertices},{edges}")
     _write_out("\n".join(lines) + "\n", args.out)

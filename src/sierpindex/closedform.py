@@ -39,6 +39,7 @@ from .construct import EdgeClassCounts, VertexClassCounts, _int_arg, repunit
 from .graphs import (
     Graph,
     IndexParams,
+    _overflow,
     as_params,
     degree_power_sum,
     edge_triangles,
@@ -392,10 +393,6 @@ def _weigh(p: IndexParams, parts: tuple[Part, ...], columns: dict[str, dict]) ->
     return 1 << E, weights, folded
 
 
-def _overflow(what: str, t: int, alpha: float) -> OverflowError:
-    return OverflowError(f"float {what} index at t={t}, alpha={alpha:g} exceeds the double range")
-
-
 def _ratio(num: int, den: int, p: IndexParams, what: str, t: int) -> Number:
     """``num / den``, exact or correctly rounded; past the double range it raises, naming ``what``, ``t`` and alpha."""
     if p.exact:
@@ -403,7 +400,7 @@ def _ratio(num: int, den: int, p: IndexParams, what: str, t: int) -> Number:
     try:
         return num / den
     except OverflowError:
-        raise _overflow(what, t, p.alpha) from None
+        raise _overflow(what, p.alpha, t) from None
 
 
 def _read(nums: Iterable[Triple], n: int, t: int, den: int, p: IndexParams, names: Iterable[str], power: bool = False):
@@ -414,7 +411,7 @@ def _read(nums: Iterable[Triple], n: int, t: int, den: int, p: IndexParams, name
         if a and not p.exact:
             low = a.bit_length() - 1 + (t - 2) * (n.bit_length() - 1)  # |a * n**(t-2)| >= 2**low
             if low - 1 - den.bit_length() >= 1024 and low > max(b.bit_length() + t.bit_length(), c.bit_length()) + 1:
-                raise _overflow(what, t, p.alpha)  # |b*t + c| < 2**(low-1), so |num/den| >= 2**1024
+                raise _overflow(what, p.alpha, t)  # |b*t + c| < 2**(low-1), so |num/den| >= 2**1024
         lead = lead or a and n ** (t - 2)  # formed at the first a != 0
         values.append(_ratio(a * lead + b * t + c, den, p, what, t))
     return values, lead or (n ** (t - 2) if power else 0)  # a breakdown's power: every a is 0 where every weight is

@@ -7,7 +7,9 @@ every word one letter longer plus the base under each new prefix, and the
 polymeric variant stacks levels ``1..t``, each copy of the base on a hub.
 
 Everything here builds the graphs outright, so it serves as the brute-force
-ground truth for the closed forms; sizes are gated by a vertex budget.
+ground truth for the closed forms. One function, :func:`_expansion_size`,
+counts an expansion's vertices and edges; every builder and census checks
+that vertex count against a vertex budget before it builds anything.
 """
 
 from __future__ import annotations
@@ -24,21 +26,22 @@ from .graphs import Graph, _simple_edge_keys
 DEFAULT_VERTEX_BUDGET = 10_000_000
 
 
+def _count_text(count: int) -> str:
+    """``count`` in decimal up to 2000 bits (603 digits, under the least int-to-str limit CPython takes), else
+    the power of two at or below it, so a refusal never converts a count past that limit."""
+    return str(count) if count.bit_length() <= 2000 else f"at least 2**{count.bit_length() - 1}"
+
+
 class VertexBudgetError(OverflowError):
     """Requested expansion exceeds the configured vertex budget."""
 
     def __init__(self, requested: int, budget: int):
         super().__init__(
-            f"vertex budget exceeded: construction needs {requested} vertices"
-            f" (budget {budget}); use the closed form instead"
+            f"vertex budget exceeded: construction needs {_count_text(requested)} vertices"
+            f" (budget {_count_text(budget)}); use the closed form instead"
         )
         self.requested = requested
         self.budget = budget
-
-
-def _check_budget(requested: int, budget: int) -> None:
-    if requested > budget:
-        raise VertexBudgetError(requested, budget)
 
 
 def _int_arg(value, least: int | None, name: str = "t", most: int | None = None) -> int:
@@ -60,6 +63,18 @@ def repunit(n: int, t: int) -> int:
     copies in the level-``t`` expansion."""
     n, t = _int_arg(n, 2, "n"), _int_arg(t, 0)
     return (n ** t - 1) // (n - 1)
+
+
+def _expansion_size(n: int, m: int, t: int, variant: str, budget: int | None = None) -> tuple[int, int]:
+    """``(vertices, edges)`` of the level-``t`` ``S`` or ``P`` expansion of a base with ``n`` vertices and ``m``
+    edges, from one power: ``R = repunit(n, t)`` copies of each base edge, and ``n**t = (n-1)*R + 1``. More
+    vertices than a given ``budget`` raise :class:`VertexBudgetError`."""
+    copies = repunit(n, t := _int_arg(t, 1))
+    vertices = (n - 1) * copies + 1 if variant == "S" else (n + 1) * copies
+    if budget is not None and vertices > budget:
+        raise VertexBudgetError(vertices, budget)
+    # P, per level i: m * repunit(n, i) copies, n**i hub fan-outs and, below the top, n**i parent links
+    return vertices, (m * copies if variant == "S" else m * (n * copies - t) // (n - 1) + vertices - 1)
 
 
 # -- word encoding -----------------------------------------------------------
@@ -121,8 +136,7 @@ def sierpinski_graph(base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET) -
     ``n**t`` exceeds ``budget``.
     """
     t = _int_arg(t, 1)
-    total = base.n ** t
-    _check_budget(total, budget)
+    total, _ = _expansion_size(base.n, base.m, t, "S", budget)
     return Graph(total, _expansion_edge_block(base, t) + 1)
 
 
@@ -170,13 +184,11 @@ class PolymericLayout:
 
     @property
     def total_vertices(self) -> int:
-        return (self.n + 1) * repunit(self.n, self.t)
+        return _expansion_size(self.n, 0, self.t, "P")[0]
 
     def total_edges(self, m: int) -> int:
-        """Edges over a base with ``m`` edges: per level ``i``, ``m * repunit(n, i)``
-        copies, ``n**i`` hub fan-outs and, below the top, ``n**i`` parent links."""
-        m = _int_arg(m, 0, "m")
-        return sum(m * repunit(self.n, i) + 2 * self.n ** i for i in range(1, self.t + 1)) - self.n ** self.t
+        """Edges over a base with ``m`` edges, in closed form."""
+        return _expansion_size(self.n, _int_arg(m, 0, "m"), self.t, "P")[1]
 
 
 def polymeric_layout(n: int, t: int) -> PolymericLayout:
@@ -192,9 +204,9 @@ def polymeric_graph(base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET) ->
     the parent links (word vertex ``j`` of level ``i`` to hub ``j`` of level ``i+1``).
     """
     layout = polymeric_layout(base.n, t)
-    _check_budget(layout.total_vertices, budget)
-
     n, t = base.n, layout.t
+    total, _ = _expansion_size(n, base.m, t, "P", budget)
+
     blocks: list[np.ndarray] = []
     for i, level in enumerate(_expansion_levels(base, t), 1):
         hubs = n ** (i - 1)  # one per base copy at level i
@@ -204,7 +216,7 @@ def polymeric_graph(base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET) ->
         blocks.extend((level + (word_base + 1), fan))  # a copy: the next level overwrites ``level``
         if i < t:  # parent links
             blocks.append(np.column_stack((word_base + k, layout.level_offset(i + 1) + k)))
-    return Graph(layout.total_vertices, np.concatenate(blocks))
+    return Graph(total, np.concatenate(blocks))
 
 
 def polymeric_vertex_labels(base: Graph, t: int) -> list[str]:
@@ -288,8 +300,7 @@ def _decode_edge_origin(u: np.ndarray, v: np.ndarray, n: int, t: int) -> tuple[n
 def _census_block(base: Graph, t: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """The edge block (0-based) at a checked level ``t``, as :func:`sierpinski_graph` checks,
     and each vertex's degree above its base letter's (vertex ``k`` copies letter ``k % n + 1``)."""
-    total = base.n ** t
-    _check_budget(total, budget)
+    total, _ = _expansion_size(base.n, base.m, t, "S", budget)
     block = _expansion_edge_block(base, t)
     _simple_edge_keys(block, total)
     return block, np.bincount(block.ravel(), minlength=total) - np.tile(base.degrees()[1:], total // base.n)

@@ -439,10 +439,25 @@ def _finite(alpha: float) -> float:
     return alpha
 
 
+def _overflow(what: str, alpha: float, t: int | None = None) -> OverflowError:
+    """The one double-range refusal: the float ``what`` index at ``alpha`` (and level ``t``) has no double value."""
+    at = "" if t is None else f"t={t}, "
+    return OverflowError(f"float {what} index at {at}alpha={alpha:g} exceeds the double range")
+
+
+def _fsum(terms: Iterable[float], what: str, alpha: float) -> float:
+    """``math.fsum(terms)``; a term or the sum past the double range raises :func:`_overflow` for ``what``."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise _overflow(what, alpha) from None
+
+
 def randic_index(g: Graph, params: IndexParams | float) -> float | int:
     """Sum over edges of ``(deg(u) * deg(v)) ** alpha``, one power per distinct
     degree product. Float mode gives ``fsum`` each power once per edge: the
-    edge-by-edge multiset, so the same correctly rounded bits."""
+    edge-by-edge multiset, so the same correctly rounded bits; a power or the
+    sum past the double range raises the named :class:`OverflowError`."""
     p = as_params(params)
     deg = g.degrees()
     prods, counts = np.unique(deg[g._edges[:, 0]] * deg[g._edges[:, 1]], return_counts=True)
@@ -450,20 +465,21 @@ def randic_index(g: Graph, params: IndexParams | float) -> float | int:
     if p.exact:
         a = p.int_alpha
         return sum(k * d ** a for d, k in classes)
-    return math.fsum(chain.from_iterable(repeat(d ** p.alpha, k) for d, k in classes))
+    return _fsum(chain.from_iterable(repeat(d ** p.alpha, k) for d, k in classes), "randic", p.alpha)
 
 
 def degree_power_sum(g: Graph, alpha: float) -> float:
     """Sum over vertices of ``deg(v) ** alpha``.
 
     ``alpha = 1`` gives twice the edge count; ``alpha = 2`` the classic
-    squared-degree sum.
+    squared-degree sum. A power or the sum past the double range raises the
+    named :class:`OverflowError`.
     """
-    _finite(alpha)
+    checked = _finite(alpha)
     deg = g.degrees().tolist()[1:]
     if alpha <= 0 and min(deg) == 0:
         raise ValueError("graph has an isolated vertex; alpha <= 0 is undefined")
-    return math.fsum(d ** alpha for d in deg)
+    return _fsum((d ** alpha for d in deg), "degree_power_sum", checked)
 
 
 # -- degree profile ----------------------------------------------------------

@@ -1,8 +1,11 @@
+import ast
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -203,6 +206,40 @@ def test_budget_refusal_keeps_exit_3(capsys, k3_file):
     assert rc == 3 and "vertex budget exceeded" in err
     rc, _, err = run(capsys, "verify", k3_file, "--t", "30", "--budget", "10")
     assert rc == 3 and "vertex budget exceeded" in err
+
+
+@pytest.mark.parametrize("argv", [["expand", "--variant", "S"], ["expand", "--variant", "P"], ["verify"]])
+def test_a_budget_refusal_at_any_level_keeps_exit_3(capsys, k4_file, argv):
+    # 4**10000 vertices is past CPython's 4300-digit int->str limit: the refusal names a power of two
+    rc, out, err = run(capsys, argv[0], k4_file, *argv[1:], "--t", "10000")
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: vertex budget exceeded: construction needs at least 2**20000 vertices")
+    assert err.count("\n") == 1
+
+
+def test_a_level_range_is_not_materialised():
+    tracemalloc.start()
+    try:
+        levels = cli._parse_t_range("2..1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (levels[0], levels[-1], len(levels)) == (2, 1_000_000, 999_999)
+    assert peak < 64 * 1024
+
+
+def test_the_cli_restates_no_library_decision():
+    # sizes, the budget comparison and the double-range refusal belong to construct and graphs
+    tree = ast.parse(inspect.getsource(cli))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not {"repunit", "total_vertices", "total_edges", "pow"} & (names | attrs)
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and {"budget", "_budget"} & {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}]
+    catchers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+                if isinstance(node, ast.ExceptHandler) and "OverflowError" in ast.unparse(node.type or ast.Tuple([]))}
+    assert catchers == {"main"}
 
 
 def test_closed_output_is_byte_identical(capsys, k3_file):

@@ -101,6 +101,34 @@ def test_budget_refusal():
     assert exc.value.requested == 3 ** 30
 
 
+_REFUSAL = "vertex budget exceeded: construction needs {} vertices (budget 10000000); use the closed form instead"
+
+
+@pytest.mark.parametrize("build", [sx.sierpinski_graph, sx.polymeric_graph,
+                                   sx.census_edge_classes, sx.census_vertex_classes])
+def test_a_budget_refusal_past_2000_bits_names_a_power_of_two(build):
+    # 4**10000 has 6021 digits, past CPython's int->str limit: the refusal must not print it
+    with pytest.raises(VertexBudgetError) as exc:
+        build(sx.complete_graph(4), 10_000)
+    assert str(exc.value) == _REFUSAL.format("at least 2**20000")
+    expected = 5 * sx.repunit(4, 10_000) if build is sx.polymeric_graph else 4 ** 10_000
+    assert exc.value.requested == expected
+
+
+@pytest.mark.parametrize("t, count", [(1999, str(2 ** 1999)), (2000, "at least 2**2000")])
+def test_a_budget_refusal_prints_a_count_of_at_most_2000_bits_exactly(t, count):
+    # K2 has 2**t vertices at level t: 2000 bits at t = 1999, 2001 at t = 2000
+    with pytest.raises(VertexBudgetError) as exc:
+        sx.sierpinski_graph(sx.complete_graph(2), t)
+    assert str(exc.value) == _REFUSAL.format(count)
+
+
+def test_a_budget_past_2000_bits_is_named_as_a_power_of_two_too():
+    with pytest.raises(VertexBudgetError) as exc:
+        sx.sierpinski_graph(sx.complete_graph(2), 5000, budget=2 ** 4500)
+    assert "needs at least 2**5000 vertices (budget at least 2**4500)" in str(exc.value)
+
+
 def test_vertex_labels():
     labels = sx.vertex_labels(sx.complete_graph(3), 2)
     assert labels[0] == "11" and labels[-1] == "33" and len(labels) == 9
@@ -221,16 +249,30 @@ def test_polymeric_triangle_level_two_matches_k4_expansion():
     assert nx.is_isomorphic(to_nx(p), to_nx(s))
 
 
+@pytest.mark.parametrize("variant", ["S", "P"])
 @pytest.mark.parametrize("name", CORPUS_NAMES)
-@pytest.mark.parametrize("t", [1, 2, 3])
-def test_polymeric_sizes(corpus, name, t):
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_expansion_sizes(corpus, name, t, variant):
+    # the one size function against the built graph and against the sizes counted level by level
     g = corpus[name]
-    p = sx.polymeric_graph(g, t)
+    built = (sx.sierpinski_graph if variant == "S" else sx.polymeric_graph)(g, t)
     n = g.n
-    assert p.n == (n + 1) * sx.repunit(n, t)
-    expected_m = sum(g.m * sx.repunit(n, i) + n ** i for i in range(1, t + 1))
-    expected_m += sum(n ** i for i in range(1, t))
-    assert p.m == expected_m
+    if variant == "S":
+        expected = (n ** t, g.m * sx.repunit(n, t))
+    else:
+        expected_m = sum(g.m * sx.repunit(n, i) + n ** i for i in range(1, t + 1))
+        expected_m += sum(n ** i for i in range(1, t))
+        expected = ((n + 1) * sx.repunit(n, t), expected_m)
+    assert construct._expansion_size(n, g.m, t, variant) == (built.n, built.m) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_polymeric_total_edges_equals_the_sum_over_levels(n):
+    for t in range(1, 40):
+        layout = sx.polymeric_layout(n, t)
+        for m in (0, 1, 5, 17):
+            level_sum = sum(m * sx.repunit(n, i) + 2 * n ** i for i in range(1, t + 1)) - n ** t
+            assert layout.total_edges(m) == level_sum
 
 
 @pytest.mark.parametrize("name", ["demo7", "K4", "C6", "K2_3"])

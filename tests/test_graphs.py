@@ -349,6 +349,18 @@ def test_degree_power_sum_rejects_isolated_vertex_for_nonpositive_alpha():
     assert sx.degree_power_sum(g, 1) == 2.0
 
 
+@pytest.mark.parametrize("index, alpha, text", [
+    (sx.randic_index, 400.0, "randic index at alpha=400"),  # 9**400
+    (sx.randic_index, 1e6, "randic index at alpha=1e+06"),
+    (sx.degree_power_sum, 1e6, "degree_power_sum index at alpha=1e+06"),
+    (sx.degree_power_sum, Fraction(10 ** 4), "degree_power_sum index at alpha=10000"),  # an exact 3**10000
+])
+def test_float_indices_name_their_double_range_refusal(index, alpha, text):
+    with pytest.raises(OverflowError) as exc:
+        index(sx.complete_graph(4), alpha)
+    assert str(exc.value) == f"float {text} exceeds the double range"
+
+
 # -- degree profile --------------------------------------------------------------
 
 def test_degree_profile_cycle():
