@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -141,12 +142,10 @@ def sierpinski_graph(base: Graph, t: int, budget: int = DEFAULT_VERTEX_BUDGET) -
 
 
 def vertex_labels(base: Graph, t: int) -> list[str]:
-    """Word label per expansion vertex id (dot-joined when letters exceed 9)."""
+    """Word label per expansion vertex id (dot-joined when letters exceed 9):
+    the words of length ``t`` in id order, as :func:`id_to_word` spells them."""
     sep = "" if base.n <= 9 else "."
-    return [
-        sep.join(map(str, id_to_word(vid, base.n, t)))
-        for vid in range(1, base.n ** _int_arg(t, 1) + 1)
-    ]
+    return list(map(sep.join, product(map(str, range(1, base.n + 1)), repeat=_int_arg(t, 1))))
 
 
 # -- polymeric layout and construction ---------------------------------------

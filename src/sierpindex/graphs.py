@@ -479,6 +479,8 @@ def degree_power_sum(g: Graph, alpha: float) -> float:
     deg = g.degrees().tolist()[1:]
     if alpha <= 0 and min(deg) == 0:
         raise ValueError("graph has an isolated vertex; alpha <= 0 is undefined")
+    # powers by a Python number: numpy's would wrap round int64 or overflow to inf
+    alpha = int(alpha) if isinstance(alpha, np.integer) else checked if isinstance(alpha, np.floating) else alpha
     return _fsum((d ** alpha for d in deg), "degree_power_sum", checked)
 
 

@@ -41,15 +41,16 @@ def census(built: sx.Graph) -> Counter:
 
 def level_counts(table, t: int) -> Counter:
     """The level-``t`` expansion's edges by end-degree pair, all parts together,
-    read off the table's columns; a count that is not an integer fails. One
-    ``Counter`` in all, where summing ``conftest.table_counts`` builds one a part."""
+    read off the table's columns, each pair at its column's lift; a count that
+    is not an integer fails. One ``Counter`` in all, where summing
+    ``conftest.table_counts`` builds one a part."""
     u, lead, basis = table.base.n - 1, table.base.n ** (t - 2) if t > 1 else 0, Counter()
-    for (x, y, z), name in chain(*table.parts) if t > 1 else table.level1:
-        basis[name] += x * lead + y * t + z
+    for (x, y, z), key in chain(*table.parts) if t > 1 else table.level1:
+        basis[key] += x * lead + y * t + z
     counts = Counter()
-    for name, w in basis.items():
-        for pair, k in table.columns[name].items():
-            counts[pair] += w * k
+    for (name, lift), w in basis.items():
+        for (a, b), k in table.columns[name, lift].items():
+            counts[a + lift, b + lift] += w * k
     assert all(c % (u * u) == 0 for c in counts.values()), (t, counts)
     return Counter({pair: c // (u * u) for pair, c in counts.items() if c})
 

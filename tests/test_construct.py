@@ -134,6 +134,21 @@ def test_vertex_labels():
     assert labels[0] == "11" and labels[-1] == "33" and len(labels) == 9
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 10, 11])
+def test_vertex_labels_spell_each_id_as_id_to_word_does(n):
+    # letters up to 9 join with no separator, from 10 on with dots
+    base, sep = sx.complete_graph(n), "" if n <= 9 else "."
+
+    def words(t):
+        return [sep.join(map(str, sx.id_to_word(vid, n, t))) for vid in range(1, n ** t + 1)]
+
+    for t in (1, 2, 3):
+        assert sx.vertex_labels(base, t) == words(t)
+        hubs_then_words = [[f"hub/{i}/{j}" for j in range(1, n ** (i - 1) + 1)] + [f"word/{i}/{w}" for w in words(i)]
+                           for i in range(1, t + 1)]
+        assert sx.polymeric_vertex_labels(base, t) == sum(hubs_then_words, [])
+
+
 # -- censuses -----------------------------------------------------------------------
 
 def test_edge_census_triangle():

@@ -361,6 +361,38 @@ def test_float_indices_name_their_double_range_refusal(index, alpha, text):
     assert str(exc.value) == f"float {text} exceeds the double range"
 
 
+def test_degree_power_sum_powers_a_numpy_integer_as_its_int():
+    # a numpy power wrapped round int64: -2.515631445861049e+19
+    k4 = sx.complete_graph(4)
+    assert sx.degree_power_sum(k4, np.int64(40)) == sx.degree_power_sum(k4, 40) == 4 * float(3 ** 40)
+
+
+def test_degree_power_sum_refuses_a_numpy_float_past_the_double_range_by_name():
+    # a numpy power overflowed to inf with a RuntimeWarning
+    with pytest.raises(OverflowError, match=r"^float degree_power_sum index at alpha=1e\+06 exceeds the double range$"):
+        sx.degree_power_sum(sx.complete_graph(4), np.float64(1e6))
+
+
+#: per entry point that takes an exponent, one call with everything else fixed
+EXPONENT_CALLS = {
+    "randic_index": lambda alpha: sx.randic_index(sx.demo_graph(), alpha),
+    "degree_power_sum": lambda alpha: sx.degree_power_sum(sx.demo_graph(), alpha),
+    "sierpinski_randic": lambda alpha: sx.sierpinski_randic(sx.demo_graph(), 3, alpha).value,
+    "polymeric_randic": lambda alpha: sx.polymeric_randic(sx.demo_graph(), 3, alpha).value,
+    "sierpinski_randic_bounds": lambda alpha: sx.sierpinski_randic_bounds(sx.cycle_graph(6), 3, alpha),
+    "sierpinski_complete": lambda alpha: sx.sierpinski_complete(4, 3, alpha),
+}
+
+
+@pytest.mark.parametrize("name", EXPONENT_CALLS)
+def test_every_accepted_type_of_one_exponent_gives_one_answer(name):
+    call = EXPONENT_CALLS[name]
+    want = call(2.0)
+    for alpha in (2, np.int64(2), np.float64(2.0), Fraction(2)):
+        got = call(alpha)
+        assert got == want and repr(got) == repr(want), repr(alpha)  # equal reprs: Python floats, not numpy's
+
+
 # -- degree profile --------------------------------------------------------------
 
 def test_degree_profile_cycle():

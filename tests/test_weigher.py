@@ -10,6 +10,8 @@ import pytest
 import sierpindex as sx
 from sierpindex import specialized as sp
 
+from conftest import random_graph
+
 OCTAHEDRON = sx.Graph(6, [(1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5),
                           (4, 6)])
 
@@ -44,8 +46,10 @@ def powered(monkeypatch) -> list[int]:
     return bases
 
 
-def products(table: sx.closedform.CountTable, names, nonzero: bool) -> set[int]:
-    return {a * b for name in names for (a, b), c in table.columns[name].items() if c or not nonzero}
+def products(table: sx.closedform.CountTable, keys, nonzero: bool) -> set[int]:
+    """The degree products of the columns under ``keys``, each pair at its column's lift."""
+    return {(a + lift) * (b + lift) for name, lift in keys for (a, b), c in table.columns[name, lift].items()
+            if c or not nonzero}
 
 
 def test_a_family_formula_does_not_power_a_pair_without_edges(powered):
@@ -64,9 +68,9 @@ def test_a_family_formula_does_not_power_a_pair_without_edges(powered):
 def test_a_family_formula_powers_each_nonzero_pair_of_its_level_once(powered, formula, args, base, variant, t):
     formula(*args, sx.IndexParams(3, exact=True))
     table = sx.count_table(base, variant)
-    names = {name for part in (table.parts if t > 1 else (table.level1,)) for _, name in part}
-    assert t > 1 or names == {"root1", "edges1"}
-    assert sorted(powered) == sorted(products(table, names, nonzero=True))
+    keys = {key for part in (table.parts if t > 1 else (table.level1,)) for _, key in part}
+    assert t > 1 or keys == {("root1", 0), ("edges", 1)}
+    assert sorted(powered) == sorted(products(table, keys, nonzero=True))
 
 
 @pytest.mark.parametrize("variant", "SP")
@@ -88,3 +92,13 @@ def test_specialized_imports_only_the_family_step_of_closedform():
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "closedform":
             private |= {node.attr} if node.attr.startswith("_") else set()
     assert private <= allowed, sorted(private - allowed)
+
+
+@pytest.mark.parametrize("base", [sx.demo_graph(), sx.complete_graph(24), random_graph(10, 100, 350)],
+                         ids=["demo7", "K24", "above_pairs"])
+def test_each_copy_group_is_stored_once_and_read_at_its_lifts(base):
+    # the P table reads one copy group at base degree + 1 and + 2, the S table at + 0
+    s_table, p_table = sx.count_table(base, "S"), sx.count_table(base, "P")
+    for name in ("edges", "lead", "rep"):
+        assert p_table.columns[name, 1] is p_table.columns[name, 2]
+        assert p_table.columns[name, 1] == s_table.columns[name, 0]
