@@ -162,9 +162,7 @@ def _cmd_verify(args) -> int:
         )
     print(f"{len(cells)} cells: {len(cells) - failed} ok, {failed} failed")
     if args.out:
-        doc = {"cells": cells, "passed": len(cells) - failed, "failed": failed, "ok": failed == 0}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(doc))
+        _write_out(_json_text({"cells": cells, "passed": len(cells) - failed, "failed": failed, "ok": failed == 0}), args.out)
     return 0 if failed == 0 else 1
 
 

@@ -268,25 +268,25 @@ class VertexClassCounts:
         return self.c0 + self.c1
 
 
-def _decode_edge_origin(u: np.ndarray, v: np.ndarray, n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+def _decode_edge_origin(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per expansion edge ``(u, v)`` (0-based ids): the 0-based base letters
     ``(x, y)`` whose copies the two endpoints are.
 
     An expansion edge always reads ``w a b...b`` / ``w b a...a`` for a base
     edge ``{a, b}``; each endpoint is a copy of its own last letter (the tail
     letter, or the differing letter itself when the edge sits at the last
-    position). Decoding checks the constant-tail structure.
+    position). Decoding checks the constant-tail structure. The tail length is
+    the most last letters whose stripping leaves the two ids differing; as ids
+    that differ after a strip differed before it, one strip a pass counts it.
     """
     if (u == v).any():
         raise ArithmeticError("self-copy edge found")
-    power = n ** np.minimum(np.arange(1 << t.bit_length()), t)  # n**j, held at n**t past t
-    # tail length after the first differing letter: the most j <= t at which u // n**j and
-    # v // n**j still differ, found one bit at a time from the highest
-    tail = np.zeros_like(u)
-    for bit in reversed(range(t.bit_length())):
-        p = power[tail + (1 << bit)]
-        tail += (u // p != v // p) * (1 << bit)
-    p = power[tail]
+    tail, live, qu, qv = np.zeros_like(u), np.arange(u.size), u, v
+    while live.size:  # the edges whose ids still differ with ``tail`` letters stripped
+        keep = (qu := qu // n) != (qv := qv // n)
+        live, qu, qv = live[keep], qu[keep], qv[keep]
+        tail[live] += 1
+    p = n ** tail
     qu, qv = u // p, v // p
     a, b, rep = qu - qu // n * n, qv - qv // n * n, (p - 1) // (n - 1)
     if (u - qu * p != b * rep).any():
@@ -316,7 +316,7 @@ def census_edge_classes(
     t, n = _int_arg(t, 2), base.n
     block, inc = _census_block(base, t, budget)
     u, v = block.T
-    x, y = _decode_edge_origin(u, v, n, t)
+    x, y = _decode_edge_origin(u, v, n)
     inc_x, inc_y = inc[u], inc[v]
     # copies by ordered letter pair and end increments (checked below); a base edge's copies run either way
     copies = np.bincount((x * n + y) << 2 | (inc_x << 1 | inc_y) & 3, minlength=n * n << 2).reshape(n, n, 2, 2)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -212,6 +213,66 @@ for edges in ([(0, 8)], [(0, 1)]):  # 0-based rows: a broken tail, a degree belo
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("base, edges, message", [
+    # 0-based rows: "11" ~ "33" has a tail that is not the other end's letter, as "13" ~ "32" has on
+    # its second end; "11" ~ "12" leaves vertex "11" below its base degree; "11" ~ "13" copies no P3 edge
+    (sx.complete_graph(3), [(0, 8)], "tail of first endpoint is not constant"),
+    (sx.complete_graph(3), [(2, 7)], "tail of second endpoint is not constant"),
+    (sx.complete_graph(3), [(0, 1)], "endpoint degree outside {d, d+1}"),
+    (sx.path_graph(3), [(0, 2)], "decoded pair {1,3} is not a base edge"),
+])
+def test_each_edge_census_check_refuses_a_corrupted_block_by_name(monkeypatch, base, edges, message):
+    monkeypatch.setattr(construct, "_expansion_edge_block", lambda b, t: np.array(edges, dtype=np.int64))
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        sx.census_edge_classes(base, 2)
+
+
+def test_the_vertex_census_refuses_a_copy_below_its_base_degree(monkeypatch):
+    real = construct._expansion_edge_block
+    monkeypatch.setattr(construct, "_expansion_edge_block", lambda b, t: real(b, t)[:-1])
+    with pytest.raises(ArithmeticError, match=re.escape("copy degree outside {d, d+1}")):
+        sx.census_vertex_classes(sx.complete_graph(3), 2)
+
+
+def test_the_decode_refuses_a_self_copy_edge():
+    # inside the census the block's own simplicity check refuses a self-loop first
+    with pytest.raises(ArithmeticError, match="self-copy edge found"):
+        construct._decode_edge_origin(np.array([0, 4]), np.array([1, 4]), 3)
+
+
+def _word_edge_ends(wu, wv):
+    """The last letters (0-based) of two words ``w a b...b`` / ``w b a...a`` with ``a != b``, or None
+    when the two words are not of that shape."""
+    i = next((i for i, (a, b) in enumerate(zip(wu, wv)) if a != b), None)
+    if i is None or set(wu[i + 1:]) - {wv[i]} or set(wv[i + 1:]) - {wu[i]}:
+        return None
+    return wu[-1] - 1, wv[-1] - 1
+
+
+@pytest.mark.parametrize("n, t", [(2, 9), (3, 5), (4, 4), (7, 3)])
+def test_the_decode_reads_every_id_pair_as_the_word_definition_does(n, t):
+    # random pairs are almost never edges, so the built edges come in too, both ways and one id off
+    rng = np.random.default_rng(n * 100 + t)
+    block = construct._expansion_edge_block(sx.complete_graph(n), t)
+    pairs = np.concatenate([rng.integers(0, n ** t, size=(500, 2)), block, block[:, ::-1],
+                            (block + [0, 1]) % n ** t, (block + [1, 0]) % n ** t])
+    edges = 0
+    for u, v in pairs[pairs[:, 0] != pairs[:, 1]].tolist():
+        expected = _word_edge_ends(sx.id_to_word(u + 1, n, t), sx.id_to_word(v + 1, n, t))
+        if expected is None:
+            with pytest.raises(ArithmeticError):
+                construct._decode_edge_origin(np.array([u]), np.array([v]), n)
+        else:
+            edges += 1
+            x, y = construct._decode_edge_origin(np.array([u]), np.array([v]), n)
+            assert (x.tolist(), y.tolist()) == ([expected[0]], [expected[1]]), (u, v)
+    assert edges >= 2 * block.shape[0]
+    # the census decodes the whole block at once, every tail length in one array
+    words = [(sx.id_to_word(u + 1, n, t), sx.id_to_word(v + 1, n, t)) for u, v in block.tolist()]
+    x, y = construct._decode_edge_origin(block[:, 0], block[:, 1], n)
+    assert list(zip(x.tolist(), y.tolist())) == [_word_edge_ends(wu, wv) for wu, wv in words]
 
 
 @pytest.mark.parametrize("bad_row, message", [(lambda b: (0, 0), "self-loop"), (lambda b: b[0], "duplicate")])
